@@ -61,7 +61,7 @@ void EmitTenantRows(JsonWriter& json, const host::FleetResult& result) {
                t.alarm_time ? static_cast<std::int64_t>(RawMicros(*t.alarm_time))
                             : static_cast<std::int64_t>(-1))
         .Field("detect_latency_us", RawMicrosU64(t.detection_latency))
-        .Field("p99_us", RawMicrosU64(t.p99_latency))
+        .Field("p99_us", t.p99_latency_us)
         .Field("mean_us", t.mean_latency_us)
         .Field("completed", t.completed)
         .Field("errors", t.errors)
@@ -102,7 +102,7 @@ void FleetMatrix(JsonWriter& json, const host::FleetConfig& fc,
     }
     WeightAgg& w = weights[t.weight];
     ++w.tenants;
-    w.p99_sum += static_cast<double>(RawMicros(t.p99_latency));
+    w.p99_sum += t.p99_latency_us;
   }
 
   std::printf("tenants=%zu victims=%zu detected=%zu (%.0f%%)  benign=%zu "

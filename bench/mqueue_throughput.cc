@@ -17,7 +17,6 @@
 // 10M-command trace; plus the fleet-parallel dimension (N independent
 // devices across io::ParallelFor threads) where the speedup acceptance
 // lives — each instance stays bit-deterministic while the fleet scales.
-#include <algorithm>
 #include <cstdio>
 #include <vector>
 
@@ -35,14 +34,6 @@
 
 namespace insider::bench {
 namespace {
-
-SimTime Percentile(std::vector<SimTime> v, double p) {
-  if (v.empty()) return 0;
-  std::sort(v.begin(), v.end());
-  std::size_t idx =
-      static_cast<std::size_t>(p * static_cast<double>(v.size() - 1));
-  return v[idx];
-}
 
 host::SsdConfig SweepDevice() {
   host::SsdConfig c;
@@ -92,34 +83,28 @@ void ThroughputSweep(JsonWriter& json) {
       ecfg.queue_count = queues;
       ecfg.queue.sq_depth = depth;
       io::IoEngine engine(target, ecfg);
-      // Phase breakdown via the metrics registry: the engine splits each
-      // command's life into queue-wait and device time (engine.queue_wait_us
-      // / engine.device_us). Recording never touches virtual time, so the
+      // Latency via the metrics registry: the engine records every
+      // command's submit-to-complete time (engine.latency_us) and splits it
+      // into queue-wait and device time (engine.queue_wait_us /
+      // engine.device_us). Recording never touches virtual time, so the
       // IOPS column is identical with or without the registry attached.
       obs::MetricsRegistry metrics;
       engine.AttachObs(nullptr, &metrics);
-      // Uncapped samples: the percentile columns below must see every
-      // command even at high INSIDER_BENCH_REPS, not a ring-capped tail.
-      wl::MultiTenantOptions mt_opts;
-      mt_opts.sample_limit = 0;
-      wl::MultiTenantDriver driver(std::move(tenants), mt_opts);
+      wl::MultiTenantDriver driver(std::move(tenants));
       wl::MultiTenantReport report = driver.Run(engine);
 
-      std::vector<SimTime> lat;
       std::uint64_t stalls = 0;
       for (const wl::TenantResult& t : report.tenants) {
-        lat.insert(lat.end(), t.latencies.begin(), t.latencies.end());
         stalls += t.stall_events;
       }
-      const SimTime p50 = Percentile(lat, 0.50);
-      const SimTime p99 = Percentile(lat, 0.99);
+      const obs::LogHistogram& lat = metrics.GetHistogram("engine.latency_us");
       const obs::LogHistogram& qw = metrics.GetHistogram("engine.queue_wait_us");
       const obs::LogHistogram& dev = metrics.GetHistogram("engine.device_us");
-      std::printf("%7zu %6zu %12.0f %12lld %12lld %9.0f %9.0f %9.0f %9.0f "
+      const double p50 = lat.Quantile(0.50);
+      const double p99 = lat.Quantile(0.99);
+      std::printf("%7zu %6zu %12.0f %12.0f %12.0f %9.0f %9.0f %9.0f %9.0f "
                   "%8llu %8llu\n",
-                  queues, depth, report.TotalIops(),
-                  static_cast<long long>(RawMicros(p50)),
-                  static_cast<long long>(RawMicros(p99)),
+                  queues, depth, report.TotalIops(), p50, p99,
                   qw.Quantile(0.50), qw.Quantile(0.99), dev.Quantile(0.50),
                   dev.Quantile(0.99), static_cast<unsigned long long>(stalls),
                   static_cast<unsigned long long>(

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <sstream>
 
 namespace insider {
 
@@ -46,57 +45,6 @@ double RunningStats::Variance() const {
 }
 
 double RunningStats::Stddev() const { return std::sqrt(Variance()); }
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(buckets)),
-      counts_(buckets, 0) {
-  assert(hi > lo && buckets > 0);
-}
-
-void Histogram::Add(double x) {
-  ++total_;
-  if (x < lo_) {
-    ++underflow_;
-    return;
-  }
-  if (x >= hi_) {
-    ++overflow_;
-    return;
-  }
-  auto idx = static_cast<std::size_t>((x - lo_) / width_);
-  if (idx >= counts_.size()) idx = counts_.size() - 1;  // fp rounding at hi
-  ++counts_[idx];
-}
-
-double Histogram::Quantile(double q) const {
-  if (total_ == 0) return lo_;
-  q = std::clamp(q, 0.0, 1.0);
-  double target = q * static_cast<double>(total_);
-  // The cumulative walk starts below the range: a quantile that lands in the
-  // underflow mass saturates to lo, one past the in-range mass saturates to
-  // hi. No interpolation ever happens inside a mass the histogram never saw.
-  double cum = static_cast<double>(underflow_);
-  if (underflow_ > 0 && cum >= target) return lo_;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    double next = cum + static_cast<double>(counts_[i]);
-    if (next >= target) {
-      double frac =
-          counts_[i] ? (target - cum) / static_cast<double>(counts_[i]) : 0.0;
-      return lo_ + (static_cast<double>(i) + frac) * width_;
-    }
-    cum = next;
-  }
-  return hi_;
-}
-
-std::string Histogram::ToString() const {
-  std::ostringstream os;
-  os << "hist[" << lo_ << "," << hi_ << ") n=" << total_
-     << " p50=" << Quantile(0.5) << " p99=" << Quantile(0.99);
-  if (underflow_ > 0) os << " underflow=" << underflow_;
-  if (overflow_ > 0) os << " overflow=" << overflow_;
-  return os.str();
-}
 
 double PearsonCorrelation(const std::vector<double>& x,
                           const std::vector<double>& y) {

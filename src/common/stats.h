@@ -2,9 +2,7 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <limits>
-#include <string>
 #include <vector>
 
 namespace insider {
@@ -36,36 +34,6 @@ class RunningStats {
   double min_ = 0.0;
   double max_ = 0.0;
   double sum_ = 0.0;
-};
-
-/// Fixed-bucket histogram over [lo, hi); used for latency distributions in
-/// benches. Out-of-range samples are NOT clamped into the edge buckets: they
-/// are counted out-of-band in Underflow()/Overflow() so a tail that escapes
-/// the configured range can never fabricate an in-range quantile. For
-/// auto-ranging without a priori bounds, prefer obs::LogHistogram.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void Add(double x);
-  /// All samples ever added, including under/overflow.
-  std::size_t TotalCount() const { return total_; }
-  std::uint64_t Underflow() const { return underflow_; }
-  std::uint64_t Overflow() const { return overflow_; }
-  /// Value at the given quantile q in [0,1], linearly interpolated within the
-  /// winning bucket. Returns lo for an empty histogram. A quantile landing in
-  /// the underflow mass saturates to lo; one landing in the overflow mass
-  /// saturates to hi — the caller sees the bound, not an invented interior
-  /// value (check Overflow() when an exact tail matters).
-  double Quantile(double q) const;
-  std::string ToString() const;
-
- private:
-  double lo_, hi_, width_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-  std::uint64_t underflow_ = 0;
-  std::uint64_t overflow_ = 0;
 };
 
 /// Pearson correlation of two equally sized series; the paper's Fig. 1/2

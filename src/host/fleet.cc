@@ -37,16 +37,6 @@ std::vector<char> ScatterMarks(std::size_t k, std::size_t n) {
   return marks;
 }
 
-SimTime P99(const std::deque<SimTime>& samples) {
-  if (samples.empty()) return 0;
-  std::vector<SimTime> v(samples.begin(), samples.end());
-  std::size_t idx = (v.size() * 99) / 100;
-  if (idx >= v.size()) idx = v.size() - 1;
-  std::nth_element(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(idx),
-                   v.end());
-  return v[idx];
-}
-
 // Fixed rotation of Table-I backgrounds (same set the interleaved
 // experiment uses) so a fleet covers every Fig. 7 category.
 constexpr wl::AppKind kTenantApps[] = {
@@ -185,11 +175,7 @@ FleetResult RunFleet(const core::DecisionTree& tree,
   ssd.AttachObs(config.tracer, config.metrics);
   engine.AttachObs(config.tracer, config.metrics);
 
-  // Exact per-tenant percentiles: the fairness matrix must see every
-  // command, not a ring-capped tail.
-  wl::MultiTenantOptions mt_opts;
-  mt_opts.sample_limit = 0;
-  wl::MultiTenantDriver driver(std::move(tenants), mt_opts);
+  wl::MultiTenantDriver driver(std::move(tenants));
   wl::MultiTenantReport report = driver.Run(engine);
   result.status = report.status;
   if (result.status != wl::MultiTenantStatus::kOk) return result;
@@ -213,7 +199,7 @@ FleetResult RunFleet(const core::DecisionTree& tree,
     meta.errors = t.errors;
     meta.stalls = t.stall_events;
     meta.mean_latency_us = t.latency_us.Mean();
-    meta.p99_latency = P99(t.latencies);
+    meta.p99_latency_us = t.latency_us.Quantile(0.99);
 
     const core::Detector* d = pool.Peek(meta.nsid);
     if (d == nullptr) {

@@ -10,6 +10,7 @@
 // BENCH_fleet.json.
 #pragma once
 
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -100,8 +101,10 @@ struct FleetTenantResult {
   std::uint64_t completed = 0;
   std::uint64_t errors = 0;
   std::uint64_t stalls = 0;
-  double mean_latency_us = 0.0;
-  SimTime p99_latency = 0;
+  /// Submit-to-complete latency (µs) from the tenant's whole-run histogram
+  /// (p99 is its upper bucket edge); NaN when nothing completed.
+  double mean_latency_us = std::numeric_limits<double>::quiet_NaN();
+  double p99_latency_us = std::numeric_limits<double>::quiet_NaN();
 };
 
 struct FleetResult {

@@ -2,13 +2,13 @@
 // log-bucketed histograms.
 //
 // The registry is the one place benches and tools read performance numbers
-// from. Its histogram is deliberately *auto-ranging*: `insider::Histogram`
-// needs a priori [lo, hi) bounds and (before the out-of-band fix) silently
-// clamped escaped tails into the edge buckets. LogHistogram has no bounds to
-// misconfigure — buckets are log-spaced octaves with linear sub-buckets
-// (HdrHistogram-style), grown on demand, and the only samples it cannot
-// place (negatives, astronomically large values) are counted explicitly in
-// Underflow()/Overflow() so no quantile is ever invented.
+// from, and LogHistogram is the repository's one latency distribution (the
+// multi-tenant driver keeps one per tenant). It is deliberately
+// *auto-ranging*: there are no bounds to misconfigure — buckets are
+// log-spaced octaves with linear sub-buckets (HdrHistogram-style), grown on
+// demand, and the only samples it cannot place (negatives, astronomically
+// large values) are counted explicitly in Underflow()/Overflow() so no
+// quantile is ever invented.
 //
 // All values are plain doubles; latencies are recorded in SimTime
 // microseconds. Nothing here touches the virtual clock: recording a metric

@@ -15,9 +15,8 @@ const char* MultiTenantStatusName(MultiTenantStatus status) {
   return "?";
 }
 
-MultiTenantDriver::MultiTenantDriver(std::vector<TenantSpec> tenants,
-                                     MultiTenantOptions options)
-    : tenants_(std::move(tenants)), options_(options) {}
+MultiTenantDriver::MultiTenantDriver(std::vector<TenantSpec> tenants)
+    : tenants_(std::move(tenants)) {}
 
 MultiTenantReport MultiTenantDriver::Run(io::IoEngine& engine) {
   const std::size_t n = tenants_.size();
@@ -67,14 +66,6 @@ MultiTenantReport MultiTenantDriver::Run(io::IoEngine& engine) {
     ++r.completed;
     if (!c.ok) ++r.errors;
     r.latency_us.Add(static_cast<double>(c.Latency()));
-    r.latencies.push_back(c.Latency());
-    r.complete_times.push_back(c.complete_time);
-    if (options_.sample_limit != 0 &&
-        r.latencies.size() > options_.sample_limit) {
-      r.latencies.pop_front();
-      r.complete_times.pop_front();
-      ++r.samples_dropped;
-    }
     if (c.complete_time > r.last_complete_time) {
       r.last_complete_time = c.complete_time;
     }

@@ -17,14 +17,13 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <vector>
 
 #include "common/io.h"
-#include "common/stats.h"
 #include "common/time.h"
 #include "io/io_engine.h"
+#include "obs/metrics.h"
 
 namespace insider::wl {
 
@@ -43,17 +42,6 @@ struct TenantSpec {
   std::uint32_t nsid = 0;
 };
 
-/// Driver knobs, defaulted to safe fleet-scale behavior.
-struct MultiTenantOptions {
-  /// Ring cap on each tenant's per-command sample series (latencies,
-  /// complete_times): oldest samples drop first once the cap is hit, and
-  /// TenantResult::samples_dropped counts them. RunningStats stays exact
-  /// over every completion regardless. 0 = unbounded (offline analysis of
-  /// short runs). Bounds driver memory on paper-scale runs the same way
-  /// DetectorConfig::history_limit bounds detector introspection state.
-  std::size_t sample_limit = 4096;
-};
-
 struct TenantResult {
   std::string name;
   bool is_ransomware = false;
@@ -62,12 +50,10 @@ struct TenantResult {
   std::uint64_t completed = 0;
   std::uint64_t errors = 0;      ///< completions with ok == false
   std::uint64_t stall_events = 0;  ///< submissions refused by a full SQ
-  RunningStats latency_us;       ///< submit-to-complete, µs — exact, uncapped
-  /// Per-command samples in completion order, ring-capped at
-  /// MultiTenantOptions::sample_limit (most recent survive).
-  std::deque<SimTime> latencies;
-  std::deque<SimTime> complete_times;
-  std::uint64_t samples_dropped = 0;  ///< samples evicted by the ring cap
+  /// Submit-to-complete latency (µs) of every completion in the run: 1 µs
+  /// resolution and 64 sub-buckets per octave bound any quantile's error
+  /// by 1/64 in ~14 KiB, however long the run.
+  obs::LogHistogram latency_us{1.0, 64};
   SimTime last_complete_time = 0;
 };
 
@@ -101,8 +87,7 @@ class MultiTenantDriver {
   /// Tenant i drives queue pair `i % engine.QueueCount()`; any tenant count
   /// works on any engine (tenants beyond the pair count share rings and are
   /// told apart by nsid).
-  explicit MultiTenantDriver(std::vector<TenantSpec> tenants,
-                             MultiTenantOptions options = {});
+  explicit MultiTenantDriver(std::vector<TenantSpec> tenants);
 
   /// Play every stream to exhaustion through `engine`, reaping completions
   /// as they post. Returns per-tenant latency/backpressure accounting;
@@ -113,7 +98,6 @@ class MultiTenantDriver {
 
  private:
   std::vector<TenantSpec> tenants_;
-  MultiTenantOptions options_;
 };
 
 }  // namespace insider::wl

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <optional>
 #include <vector>
 
 #include "core/pretrained.h"
+#include "dispatch_recorder.h"
 #include "host/experiment.h"
 #include "host/ssd.h"
 #include "host/ssd_target.h"
@@ -107,9 +111,6 @@ TEST(MultiTenantTest, QueueFullBackpressureStallsProducer) {
 TEST(MultiTenantTest, CompletionTimesMonotoneAndMatchDeviceClock) {
   SsdConfig cfg = SmallSsd();
   cfg.ftl.latency = nand::LatencyModel{};  // real NAND latencies
-  Ssd ssd(cfg, SimpleTree());
-  SsdTarget target(ssd);
-
   std::vector<wl::TenantSpec> tenants;
   tenants.push_back(WriterTenant("w0", 0, 24, 0, 1000, 50));
   tenants.push_back(WriterTenant("w1", 64, 24, 5000, 1000, 50));
@@ -117,20 +118,64 @@ TEST(MultiTenantTest, CompletionTimesMonotoneAndMatchDeviceClock) {
   io::EngineConfig ecfg;
   ecfg.queue_count = 2;
   ecfg.queue.sq_depth = 8;
-  io::IoEngine engine(target, ecfg);
 
-  wl::MultiTenantDriver driver(std::move(tenants));
+  Ssd ssd(cfg, SimpleTree());
+  SsdTarget target(ssd);
+  io::IoEngine engine(target, ecfg);
+  wl::MultiTenantDriver driver(tenants);
   wl::MultiTenantReport report = driver.Run(engine);
 
-  for (const wl::TenantResult& t : report.tenants) {
-    ASSERT_EQ(t.complete_times.size(), t.completed);
-    SimTime prev = 0;
-    for (std::size_t i = 0; i < t.complete_times.size(); ++i) {
-      EXPECT_GE(t.complete_times[i], prev) << t.name << " cmd " << i;
-      EXPECT_GE(t.latencies[i], 0) << t.name << " cmd " << i;
-      prev = t.complete_times[i];
+  // The same streams on an identical device, completions popped straight
+  // from the engine. Each tenant owns one pair, so a pair's posting order is
+  // its tenant's completion order, command by command.
+  Ssd twin_ssd(cfg, SimpleTree());
+  SsdTarget twin_target(twin_ssd);
+  io::IoEngine twin(twin_target, ecfg);
+  std::vector<std::vector<io::Completion>> posted(tenants.size());
+  std::vector<std::size_t> cursor(tenants.size(), 0);
+  for (;;) {
+    bool drained = true;
+    for (std::size_t q = 0; q < tenants.size(); ++q) {
+      const wl::TenantSpec& t = tenants[q];
+      while (cursor[q] < t.requests.size()) {
+        IoRequest req = t.requests[cursor[q]];
+        req.nsid = static_cast<std::uint32_t>(q) + 1;  // the driver's auto id
+        if (!twin.TrySubmit(static_cast<io::QueueId>(q), req,
+                            t.stamp_base + cursor[q])) {
+          break;
+        }
+        ++cursor[q];
+      }
+      drained = drained && cursor[q] == t.requests.size();
     }
-    EXPECT_EQ(t.last_complete_time, prev);
+    const bool stepped = twin.Step();
+    for (std::size_t q = 0; q < tenants.size(); ++q) {
+      while (std::optional<io::Completion> c =
+                 twin.PopCompletion(static_cast<io::QueueId>(q))) {
+        posted[q].push_back(*c);
+      }
+    }
+    if (!stepped && drained && twin.InFlight() == 0) break;
+  }
+
+  for (std::size_t q = 0; q < tenants.size(); ++q) {
+    const wl::TenantResult& t = report.tenants[q];
+    ASSERT_EQ(posted[q].size(), t.completed) << t.name;
+    ASSERT_EQ(t.latency_us.Count(), t.completed) << t.name;
+    SimTime prev = 0;
+    double latency_sum = 0.0;
+    for (std::size_t i = 0; i < posted[q].size(); ++i) {
+      const io::Completion& c = posted[q][i];
+      EXPECT_GE(c.complete_time, prev) << t.name << " cmd " << i;
+      EXPECT_GE(c.Latency(), 0) << t.name << " cmd " << i;
+      prev = c.complete_time;
+      latency_sum += static_cast<double>(c.Latency());
+    }
+    // The driver saw exactly these completions: same last stamp, and the
+    // histogram summed the same latencies in the same order.
+    EXPECT_EQ(t.last_complete_time, prev) << t.name;
+    EXPECT_EQ(t.latency_us.Sum(), latency_sum) << t.name;
+    EXPECT_GE(t.latency_us.Min(), 0.0) << t.name;
     // Completion stamps are FTL media times. Dispatch is pipelined, so they
     // can run ahead of the submission-side device clock but never ahead of
     // the report's end time.
@@ -210,36 +255,92 @@ TEST(MultiTenantTest, DuplicateNamespaceIsTypedRefusal) {
   }
 }
 
-TEST(MultiTenantTest, SampleRingCapKeepsRunningStatsExact) {
+// The latency histogram covers the whole run. A burst of slow writes comes
+// first, then more than 4,096 fast reads: a window of the newest 4,096
+// completions would hold only reads, and its p99 would miss the burst.
+TEST(MultiTenantTest, LatencyHistogramCoversTheWholeRun) {
   SsdConfig cfg = SmallSsd();
-  cfg.ftl.latency = nand::LatencyModel{};  // nonzero latencies to aggregate
+  cfg.ftl.latency = nand::LatencyModel{};  // real NAND latencies
   Ssd ssd(cfg, SimpleTree());
-  SsdTarget target(ssd);
+  SsdTarget ssd_target(ssd);
+  DispatchRecorder target(ssd_target);
 
-  std::vector<wl::TenantSpec> tenants;
-  tenants.push_back(WriterTenant("w", 0, 24, 0, 1000, 50));
+  constexpr std::size_t kBurst = 64;
+  constexpr std::size_t kReads = 5000;
+  wl::TenantSpec tenant = WriterTenant("w", 0, kBurst, 0, 1000, 0);
+  for (std::size_t i = 0; i < kReads; ++i) {
+    tenant.requests.push_back({Microseconds(100'000) + CostOf(i, 1000),
+                               static_cast<Lba>(i % kBurst), 1,
+                               IoMode::kRead});
+  }
 
   io::EngineConfig ecfg;
   ecfg.queue_count = 1;
   ecfg.queue.sq_depth = 8;
   io::IoEngine engine(target, ecfg);
-
-  wl::MultiTenantOptions opts;
-  opts.sample_limit = 6;
-  wl::MultiTenantDriver driver(std::move(tenants), opts);
+  wl::MultiTenantDriver driver({tenant});
   wl::MultiTenantReport report = driver.Run(engine);
 
   const wl::TenantResult& t = report.tenants[0];
-  EXPECT_EQ(t.completed, 24u);
-  // The rings keep only the newest samples...
-  EXPECT_EQ(t.latencies.size(), 6u);
-  EXPECT_EQ(t.complete_times.size(), 6u);
-  EXPECT_EQ(t.samples_dropped, 18u);
-  // ...but the streaming aggregate saw every completion.
-  EXPECT_EQ(t.latency_us.Count(), 24u);
-  // The surviving window is the tail: its newest entry is the last
-  // completion the run produced.
-  EXPECT_EQ(t.complete_times.back(), t.last_complete_time);
+  ASSERT_EQ(t.completed, kBurst + kReads);
+  ASSERT_EQ(t.errors, 0u);
+  EXPECT_EQ(t.latency_us.Count(), t.completed);
+
+  // The exact latency stream, from the device boundary: one FIFO pair and
+  // no retries, so record i is request i, and the engine posts each
+  // completion at max(dispatch instant, device finish).
+  const std::vector<IoRequest>& requests = tenant.requests;
+  ASSERT_EQ(target.Records().size(), requests.size());
+  std::vector<double> latencies;
+  double latency_sum = 0.0;
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const DispatchRecord& rec = target.Records()[i];
+    const SimTime done = std::max(rec.request.time, rec.complete_time);
+    latencies.push_back(static_cast<double>(done - requests[i].time));
+    latency_sum += latencies.back();
+  }
+  EXPECT_EQ(t.latency_us.Sum(), latency_sum);
+
+  const double newest_max =
+      *std::max_element(latencies.end() - 4096, latencies.end());
+  std::sort(latencies.begin(), latencies.end());
+  const auto k = static_cast<std::size_t>(
+      std::ceil(0.99 * static_cast<double>(latencies.size())));
+  const double exact_p99 = latencies[k - 1];
+  // The burst owns the tail: the p99 is slower than anything the newest
+  // 4,096 completions hold.
+  EXPECT_GT(exact_p99, newest_max);
+  const obs::LogHistogram::Bounds b = t.latency_us.QuantileBounds(0.99);
+  EXPECT_LE(b.lower, exact_p99);
+  EXPECT_GE(b.upper, exact_p99);
+}
+
+// Regression: a tenant with no completions used to report a made-up 0 µs
+// p99 next to a NaN mean. Both now come from the tenant's histogram and are
+// NaN, so JSON writers emit null.
+TEST(MultiTenantTest, EmptyTenantReportsNoLatency) {
+  Ssd ssd(SmallSsd(), SimpleTree());
+  SsdTarget target(ssd);
+
+  std::vector<wl::TenantSpec> tenants;
+  tenants.push_back(WriterTenant("busy", 0, 8, 0, 1000, 100));
+  wl::TenantSpec idle;
+  idle.name = "idle";  // an empty stream
+  tenants.push_back(idle);
+
+  io::EngineConfig ecfg;
+  ecfg.queue_count = 2;
+  io::IoEngine engine(target, ecfg);
+  wl::MultiTenantDriver driver(std::move(tenants));
+  wl::MultiTenantReport report = driver.Run(engine);
+
+  ASSERT_EQ(report.status, wl::MultiTenantStatus::kOk);
+  EXPECT_EQ(report.tenants[0].latency_us.Count(), 8u);
+  const wl::TenantResult& t = report.tenants[1];
+  EXPECT_EQ(t.completed, 0u);
+  EXPECT_EQ(t.latency_us.Count(), 0u);
+  EXPECT_TRUE(std::isnan(t.latency_us.Quantile(0.99)));
+  EXPECT_TRUE(std::isnan(t.latency_us.Mean()));
 }
 
 TEST(MultiTenantTest, EmptyRunPinsEndTimeToZeroSpan) {

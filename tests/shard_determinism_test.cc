@@ -2,22 +2,23 @@
 // execution runtime must be bit-identical to the serial reference path. The
 // same multi-queue trace is played through IoEngine + SsdTarget at
 // shard_threads = 0 (serial) and 1/2/4/8, and every observable output is
-// compared exactly: FtlStats, engine stats, per-tenant completion orders and
-// times, detector slice history (features, votes, scores), trace-span
-// timelines, and the device contents read back at the end.
+// compared exactly: FtlStats, engine stats, every command's dispatch and
+// completion time (recorded at the device boundary), per-tenant accounting
+// and latency histograms, detector slice history (features, votes, scores),
+// trace-span timelines, and the device contents read back at the end.
 //
 // A 100-seed property run repeats the comparison on randomized small traces
 // (toy geometry) so it stays viable under -DINSIDER_AUDIT=ON.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "common/rng.h"
 #include "core/pretrained.h"
+#include "dispatch_recorder.h"
 #include "host/ssd.h"
 #include "host/ssd_target.h"
 #include "io/io_engine.h"
@@ -47,8 +48,9 @@ core::DecisionTree SimpleTree() {
 struct TenantTrace {
   std::string name;
   std::vector<std::uint64_t> completed;
-  std::deque<SimTime> complete_times;
-  std::deque<SimTime> latencies;
+  SimTime last_complete_time = 0;
+  /// The latency histogram's count, sum, min and max.
+  std::vector<double> latency;
   std::uint64_t stalls = 0;
 
   friend bool operator==(const TenantTrace&, const TenantTrace&) = default;
@@ -75,6 +77,7 @@ struct RunOutput {
   SimTime end_time = 0;
   bool alarm = false;
   std::vector<TenantTrace> tenants;
+  std::vector<DispatchRecord> dispatches;  ///< every command, in order
   std::vector<DetectorSlice> detector;
   std::vector<SpanKey> spans;
   std::vector<std::uint64_t> content_stamps;
@@ -126,7 +129,8 @@ RunOutput RunTrace(std::size_t shard_threads, std::uint64_t seed,
   scfg.detector.window_slices = 10;
   scfg.detector.score_threshold = 1000;  // observe scores, never latch
   host::Ssd ssd(scfg, SimpleTree());
-  host::SsdTarget target(ssd);
+  host::SsdTarget ssd_target(ssd);
+  DispatchRecorder target(ssd_target);
 
   obs::Tracer tracer;
   obs::MetricsRegistry metrics;
@@ -169,11 +173,13 @@ RunOutput RunTrace(std::size_t shard_threads, std::uint64_t seed,
     TenantTrace tt;
     tt.name = t.name;
     tt.completed = {t.submitted, t.completed, t.errors};
-    tt.complete_times = t.complete_times;
-    tt.latencies = t.latencies;
+    tt.last_complete_time = t.last_complete_time;
+    tt.latency = {static_cast<double>(t.latency_us.Count()),
+                  t.latency_us.Sum(), t.latency_us.Min(), t.latency_us.Max()};
     tt.stalls = t.stall_events;
     out.tenants.push_back(std::move(tt));
   }
+  out.dispatches = target.Records();
   for (const core::SliceRecord& s : ssd.Detector().History()) {
     DetectorSlice d;
     d.end_time = s.end_time;
@@ -211,6 +217,7 @@ void ExpectIdentical(const RunOutput& serial, const RunOutput& sharded,
   EXPECT_EQ(serial.end_time, sharded.end_time) << label;
   EXPECT_EQ(serial.alarm, sharded.alarm) << label;
   EXPECT_EQ(serial.tenants, sharded.tenants) << label;
+  EXPECT_EQ(serial.dispatches, sharded.dispatches) << label;
   EXPECT_EQ(serial.detector, sharded.detector) << label;
   EXPECT_EQ(serial.spans, sharded.spans) << label;
   EXPECT_EQ(serial.content_stamps, sharded.content_stamps) << label;

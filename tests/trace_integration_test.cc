@@ -17,6 +17,7 @@
 
 #include "common/rng.h"
 #include "core/pretrained.h"
+#include "dispatch_recorder.h"
 #include "host/experiment.h"
 #include "host/ssd.h"
 #include "host/ssd_target.h"
@@ -33,6 +34,7 @@ struct MqueueRun {
   obs::MetricsRegistry metrics;
   wl::MultiTenantReport report;
   std::uint64_t dispatched = 0;
+  std::vector<DispatchRecord> dispatches;
 };
 
 // The trace_dump / mqueue_throughput workload in miniature: 8 queues of
@@ -46,7 +48,8 @@ void RunMqueue(MqueueRun& run, std::size_t commands_per_queue) {
   scfg.ftl.geometry.pages_per_block = 64;
   scfg.detector_enabled = false;
   host::Ssd ssd(scfg, core::PretrainedTree());
-  host::SsdTarget target(ssd);
+  host::SsdTarget ssd_target(ssd);
+  DispatchRecorder target(ssd_target);
   ssd.AttachObs(&run.tracer, &run.metrics);
 
   const Lba exported = ssd.Ftl().ExportedLbas();
@@ -79,6 +82,7 @@ void RunMqueue(MqueueRun& run, std::size_t commands_per_queue) {
   wl::MultiTenantDriver driver(std::move(tenants));
   run.report = driver.Run(engine);
   run.dispatched = engine.Stats().dispatched;
+  run.dispatches = target.Records();
 }
 
 TEST(TraceIntegrationTest, CommandsRenderAsNestedSpanStacks) {
@@ -180,7 +184,8 @@ TEST(TraceIntegrationTest, TracingNeverPerturbsVirtualTime) {
   scfg.ftl.geometry.pages_per_block = 64;
   scfg.detector_enabled = false;
   host::Ssd ssd(scfg, core::PretrainedTree());
-  host::SsdTarget target(ssd);
+  host::SsdTarget ssd_target(ssd);
+  DispatchRecorder target(ssd_target);
   const Lba exported = ssd.Ftl().ExportedLbas();
   const Lba region = exported / static_cast<Lba>(kQueues);
   Rng rng(0x7E57'7E57);
@@ -207,9 +212,18 @@ TEST(TraceIntegrationTest, TracingNeverPerturbsVirtualTime) {
   wl::MultiTenantReport bare = driver.Run(engine);
 
   EXPECT_EQ(bare.end_time, traced.report.end_time);
+  // Every command: same dispatch order, dispatch instant and completion.
+  ASSERT_EQ(target.Records().size(), 8u * 120u);
+  EXPECT_EQ(target.Records(), traced.dispatches);
   ASSERT_EQ(bare.tenants.size(), traced.report.tenants.size());
   for (std::size_t i = 0; i < bare.tenants.size(); ++i) {
-    EXPECT_EQ(bare.tenants[i].latencies, traced.report.tenants[i].latencies)
+    const obs::LogHistogram& a = bare.tenants[i].latency_us;
+    const obs::LogHistogram& b = traced.report.tenants[i].latency_us;
+    EXPECT_EQ(a.Count(), b.Count()) << "tenant " << i;
+    EXPECT_EQ(a.Sum(), b.Sum()) << "tenant " << i;
+    EXPECT_EQ(a.Max(), b.Max()) << "tenant " << i;
+    EXPECT_EQ(bare.tenants[i].last_complete_time,
+              traced.report.tenants[i].last_complete_time)
         << "tenant " << i;
   }
 }

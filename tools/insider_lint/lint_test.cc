@@ -8,6 +8,8 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -82,6 +84,47 @@ TEST(InsiderLintTest, LayerTableIsADagRootedAtCommon) {
       EXPECT_NE(dep, module) << "self-edges are implicit";
     }
   }
+}
+
+// DESIGN.md §14.2 is the authoritative layer table; LayerAllowedDeps() is
+// its machine-readable copy. Parse the markdown rows (the backticked module
+// name in the first cell, every backticked name in the second cell an
+// allowed dependency, "—" for none) and require the two to be equal.
+TEST(InsiderLintTest, LayerTableMatchesDesignDoc) {
+  std::istringstream design(
+      ReadFile(fs::path(INSIDER_LINT_SOURCE_ROOT) / "DESIGN.md"));
+  std::map<std::string, std::set<std::string>> documented;
+  bool in_section = false;
+  std::string line;
+  while (std::getline(design, line)) {
+    if (line.rfind("### ", 0) == 0) {
+      in_section = line.rfind("### 14.2 ", 0) == 0;
+      continue;
+    }
+    if (!in_section || line.rfind("| `", 0) != 0) continue;
+    const std::size_t split = line.find('|', 1);
+    ASSERT_NE(split, std::string::npos) << line;
+    auto names = [](const std::string& cell) {
+      std::vector<std::string> out;
+      for (std::size_t open = cell.find('`'); open != std::string::npos;) {
+        const std::size_t close = cell.find('`', open + 1);
+        if (close == std::string::npos) break;
+        out.push_back(cell.substr(open + 1, close - open - 1));
+        open = cell.find('`', close + 1);
+      }
+      return out;
+    };
+    const std::vector<std::string> module = names(line.substr(1, split - 1));
+    ASSERT_EQ(module.size(), 1u) << line;
+    std::set<std::string> deps;
+    for (const std::string& dep : names(line.substr(split + 1))) {
+      deps.insert(dep);
+    }
+    EXPECT_TRUE(documented.emplace(module[0], deps).second)
+        << "module listed twice: " << module[0];
+  }
+  ASSERT_FALSE(documented.empty()) << "no §14.2 layer table in DESIGN.md";
+  EXPECT_EQ(documented, LayerAllowedDeps());
 }
 
 // ---------------------------------------------------------------------------
