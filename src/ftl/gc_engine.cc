@@ -38,17 +38,16 @@ bool GcEngine::EvacuateBlock(std::uint32_t block_id, SimTime& now) {
       // version record that referenced its content.
       ++f.stats_.gc_lost_pages;
       Lba lost_lba = f.p2l_.Get(src);
-      BlockCounters& info = f.block_counters_[block_id];
       if (st == PageState::kValid) {
         if (lost_lba != kInvalidLba) f.l2p_.Set(lost_lba, nand::kInvalidPpa);
-        --info.valid;
+        f.block_counters_.AddValid(block_id, -1);
         --f.valid_pages_;
       } else if (st == PageState::kArchived) {
         f.stats_.archived_lost += f.store_.DropPpa(src);
-        --info.archived;
+        f.block_counters_.AddArchived(block_id, -1);
         --f.archived_pages_;
       } else if (f.queue_.Drop(src)) {
-        --info.retained;
+        f.block_counters_.AddRetained(block_id, -1);
         --f.retained_pages_;
       }
       f.page_state_.Set(src, PageState::kInvalid);
@@ -67,23 +66,22 @@ bool GcEngine::EvacuateBlock(std::uint32_t block_id, SimTime& now) {
     Lba lba = f.p2l_.Get(src);
     f.p2l_.Set(dst, lba);
     f.page_state_.Set(dst, st);
-    BlockCounters& dst_info = f.block_counters_[f.BlockIdOf(dst)];
-    BlockCounters& src_info = f.block_counters_[block_id];
+    const std::uint32_t dst_block = f.BlockIdOf(dst);
     if (st == PageState::kValid) {
-      ++dst_info.valid;
-      --src_info.valid;
+      f.block_counters_.AddValid(dst_block, +1);
+      f.block_counters_.AddValid(block_id, -1);
       assert(lba != kInvalidLba);
       f.l2p_.Set(lba, dst);
     } else if (st == PageState::kArchived) {
-      ++dst_info.archived;
-      --src_info.archived;
+      f.block_counters_.AddArchived(dst_block, +1);
+      f.block_counters_.AddArchived(block_id, -1);
       bool moved = f.store_.Relocate(src, dst);
       assert(moved);
       (void)moved;
     } else {
       ++f.stats_.gc_retained_copies;
-      ++dst_info.retained;
-      --src_info.retained;
+      f.block_counters_.AddRetained(dst_block, +1);
+      f.block_counters_.AddRetained(block_id, -1);
       bool relocated = f.queue_.Relocate(src, dst);
       assert(relocated);
       (void)relocated;
@@ -255,10 +253,7 @@ std::size_t GcEngine::CollectCheap(SimTime now, std::size_t max_blocks,
   std::size_t reclaimed = 0;
   SimTime t = now;
   while (reclaimed < max_blocks) {
-    // Peek at the would-be victim under the cheapness cap before paying for
-    // a collection round.
-    if (f.victim_->SelectVictim(f.view_, cap) == kNoVictim) break;
-    if (!CollectOne(t, geo.pages_per_block - 1)) break;
+    if (!CollectOne(t, cap)) break;
     ++reclaimed;
   }
   return reclaimed;

@@ -363,6 +363,53 @@ AuditReport InvariantAuditor::Audit(const PageFtl& ftl,
               v.actual = Str(ftl.archived_pages_);
             });
 
+  // --- C3: the GC candidate index holds exactly the candidate set, each
+  // member under its current key, in heap order (so its minimum is greedy's
+  // pick).
+  const VictimIndex& index = ftl.block_counters_.Index();
+  auto key_of = [](std::uint64_t movable, std::uint64_t erases) {
+    return "key (movable " + Str(movable) + ", erases " + Str(erases) + ")";
+  };
+  for (std::uint32_t b = 0; b < geo.TotalBlocks() && !rec.Full(); ++b) {
+    const nand::Block& blk = ftl.nand_.BlockAt(ftl.AddrOfBlockId(b));
+    const char* excluded =
+        ftl.block_health_[b] != BlockHealth::kHealthy ? "not Healthy"
+        : ftl.nand_.IsMetadataBlock(b)                ? "metadata block"
+        : ftl.IsActiveBlock(b)                        ? "active frontier"
+        : !blk.IsFull()                               ? "not full"
+                                                      : nullptr;
+    const std::uint32_t movable = ftl.block_counters_[b].Movable();
+    const bool member = index.Contains(b);
+    const bool holds =
+        excluded != nullptr
+            ? !member
+            : member && index.At(b).block == b &&
+                  index.At(b).movable == movable &&
+                  index.At(b).erases == blk.EraseCount();
+    rec.Check(holds, Kind::kCounterDrift, [&](InvariantViolation& v) {
+      v.where = "victim index, block " + Str(b);
+      v.expected = excluded != nullptr
+                       ? std::string("absent (") + excluded + ")"
+                       : "member under " + key_of(movable, blk.EraseCount());
+      v.actual = member ? "member under " + key_of(index.At(b).movable,
+                                                   index.At(b).erases)
+                        : "absent";
+    });
+  }
+  const std::span<const VictimIndex::Entry> entries = index.Entries();
+  for (std::size_t i = 1; i < entries.size() && !rec.Full(); ++i) {
+    const VictimIndex::Entry& parent = entries[VictimIndex::Parent(i)];
+    rec.Check(!VictimIndex::Before(entries[i], parent), Kind::kCounterDrift,
+              [&](InvariantViolation& v) {
+                v.where = "victim index slot " + Str(i) + " (block " +
+                          Str(entries[i].block) + ")";
+                v.expected = "not before its parent, block " +
+                             Str(parent.block) + " under " +
+                             key_of(parent.movable, parent.erases);
+                v.actual = key_of(entries[i].movable, entries[i].erases);
+              });
+  }
+
   // --- V2-V4: the version store's index against page states and itself. --
   rec.Check(ftl.store_.ObjectCount() == archived_total,
             Kind::kVersionStoreMismatch, [&](InvariantViolation& v) {

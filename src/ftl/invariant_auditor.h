@@ -24,6 +24,10 @@
 //   C1  ∀ block b: counters[b].{valid,retained} = |{p ∈ b : state[p] = …}|
 //   C2  Σ_b counters[b].valid = valid_pages ∧ Σ_b counters[b].retained
 //                = retained_pages; free_block_count = Σ_chip |pool(chip)|
+//   C3  ∀ block b: b ∈ victim index ⇔ full(b) ∧ health[b] = Healthy
+//                ∧ b not metadata ∧ b not a frontier; each member is keyed
+//                (counters[b].Movable(), erase_count(b), b) and the heap
+//                order holds, so the index minimum is greedy's victim
 //   B1  ∀ b: health[b] = Retired ⇒ counters[b] = 0 ∧ b ∉ pools ∧ b not a
 //                frontier ∧ every programmed page of b has state Bad
 //   B2  ∀ b: health[b] = PendingRetire ⇒ b ∉ pools ∧ b not a frontier

@@ -113,7 +113,7 @@ FtlSnapshot PageFtl::BuildSnapshot() const {
   snap.l2p = l2p_.Clone();
   snap.p2l = p2l_.Clone();
   snap.page_state = page_state_.Clone();
-  snap.block_counters = block_counters_;
+  snap.block_counters = block_counters_.All();
   snap.queue = queue_;
   snap.trim_journal.reserve(trim_journal_.size());
   for (const TrimRecord& r : trim_journal_) {
@@ -132,7 +132,7 @@ void PageFtl::RestoreFromSnapshot(const FtlSnapshot& snap) {
   l2p_.CloneFrom(snap.l2p);
   p2l_.CloneFrom(snap.p2l);
   page_state_.CloneFrom(snap.page_state);
-  block_counters_ = snap.block_counters;
+  block_counters_.Restore(snap.block_counters);
   queue_ = snap.queue;
   trim_journal_.clear();
   for (const auto& [time, lba] : snap.trim_journal) {
@@ -212,7 +212,7 @@ PageFtl::PageFtl(const FtlConfig& config)
   l2p_.Assign(exported_lbas_, nand::kInvalidPpa);
   p2l_.Assign(geo.TotalPages(), kInvalidLba);
   page_state_.Assign(geo.TotalPages(), PageState::kFree);
-  block_counters_.assign(geo.TotalBlocks(), BlockCounters{});
+  block_counters_.Reset(geo.TotalBlocks());
   block_health_.assign(geo.TotalBlocks(), BlockHealth::kHealthy);
   free_blocks_by_chip_.resize(geo.TotalChips());
   active_block_per_chip_.assign(geo.TotalChips(), kNoActiveBlock);
@@ -269,6 +269,7 @@ nand::Ppa PageFtl::AllocatePage() {
       nand_.BlockAt(AddrOfBlockId(active)).IsFull()) {
     auto& pool = free_blocks_by_chip_[*chip];
     assert(!pool.empty());  // ChipCanAllocate guaranteed a free block
+    if (active != kNoActiveBlock) EnrollCandidate(active);
     active = pool.back();
     pool.pop_back();
     --free_block_count_;
@@ -279,15 +280,42 @@ nand::Ppa PageFtl::AllocatePage() {
 }
 
 void PageFtl::RecycleBlock(std::uint32_t block_id) {
+  block_counters_.Withdraw(block_id);
   free_blocks_by_chip_[AddrOfBlockId(block_id).chip].push_back(block_id);
   ++free_block_count_;
 }
 
+void PageFtl::EnrollCandidate(std::uint32_t block_id) {
+  const nand::Block& blk = nand_.BlockAt(AddrOfBlockId(block_id));
+  assert(blk.IsFull() && block_health_[block_id] == BlockHealth::kHealthy &&
+         !nand_.IsMetadataBlock(block_id));
+  block_counters_.Enroll(block_id, blk.EraseCount());
+}
+
+void PageFtl::RebuildCandidateIndex() {
+  block_counters_.WithdrawAll();
+  for (std::uint32_t b = 0; b < config_.geometry.TotalBlocks(); ++b) {
+    if (block_health_[b] != BlockHealth::kHealthy ||
+        nand_.IsMetadataBlock(b) || IsActiveBlock(b) ||
+        !nand_.BlockAt(AddrOfBlockId(b)).IsFull()) {
+      continue;
+    }
+    EnrollCandidate(b);
+  }
+}
+
+void PageFtl::ZeroBlockCounters(std::uint32_t block_id) {
+  const BlockCounters c = block_counters_[block_id];
+  block_counters_.AddValid(block_id, -static_cast<std::int32_t>(c.valid));
+  block_counters_.AddRetained(block_id,
+                              -static_cast<std::int32_t>(c.retained));
+  block_counters_.AddArchived(block_id,
+                              -static_cast<std::int32_t>(c.archived));
+}
+
 void PageFtl::ReleaseBackup(const BackupEntry& entry, SimTime now) {
   assert(page_state_.Get(entry.old_ppa) == PageState::kRetained);
-  BlockCounters& info = block_counters_[BlockIdOf(entry.old_ppa)];
-  assert(info.retained > 0);
-  --info.retained;
+  assert(block_counters_[BlockIdOf(entry.old_ppa)].retained > 0);
   --retained_pages_;
   if (store_.Enabled() && store_.Protected(entry.lba) &&
       ArchiveBackup(entry, now)) {
@@ -295,6 +323,7 @@ void PageFtl::ReleaseBackup(const BackupEntry& entry, SimTime now) {
     // tag intact so GC relocation and the rebuild scan keep working on it.
     return;
   }
+  block_counters_.AddRetained(BlockIdOf(entry.old_ppa), -1);
   page_state_.Set(entry.old_ppa, PageState::kInvalid);
   p2l_.Set(entry.old_ppa, kInvalidLba);
 }
@@ -324,7 +353,7 @@ bool PageFtl::ArchiveBackup(const BackupEntry& entry, SimTime now) {
   switch (result) {
     case version::ArchiveResult::kStored:
       page_state_.Set(entry.old_ppa, PageState::kArchived);
-      ++block_counters_[BlockIdOf(entry.old_ppa)].archived;
+      block_counters_.ArchiveRetained(BlockIdOf(entry.old_ppa));
       ++archived_pages_;
       return true;
     case version::ArchiveResult::kDeduped:
@@ -340,9 +369,7 @@ bool PageFtl::ArchiveBackup(const BackupEntry& entry, SimTime now) {
 void PageFtl::ReleaseArchived(nand::Ppa ppa) {
   assert(page_state_.Get(ppa) == PageState::kArchived);
   page_state_.Set(ppa, PageState::kInvalid);
-  BlockCounters& info = block_counters_[BlockIdOf(ppa)];
-  assert(info.archived > 0);
-  --info.archived;
+  block_counters_.AddArchived(BlockIdOf(ppa), -1);
   --archived_pages_;
   p2l_.Set(ppa, kInvalidLba);
 }
@@ -406,9 +433,7 @@ void PageFtl::ReleaseExpired(SimTime now) {
 void PageFtl::MarkInvalid(nand::Ppa ppa) {
   assert(page_state_.Get(ppa) == PageState::kValid);
   page_state_.Set(ppa, PageState::kInvalid);
-  BlockCounters& info = block_counters_[BlockIdOf(ppa)];
-  assert(info.valid > 0);
-  --info.valid;
+  block_counters_.AddValid(BlockIdOf(ppa), -1);
   --valid_pages_;
   p2l_.Set(ppa, kInvalidLba);
 }
@@ -420,9 +445,7 @@ void PageFtl::Retire(Lba lba, nand::Ppa old_ppa, SimTime now) {
   }
   assert(page_state_.Get(old_ppa) == PageState::kValid);
   page_state_.Set(old_ppa, PageState::kRetained);
-  BlockCounters& info = block_counters_[BlockIdOf(old_ppa)];
-  --info.valid;
-  ++info.retained;
+  block_counters_.RetainValid(BlockIdOf(old_ppa));
   --valid_pages_;
   ++retained_pages_;
   std::optional<BackupEntry> evicted = queue_.Push(lba, old_ppa, now);
@@ -462,6 +485,7 @@ nand::Ppa PageFtl::ProgramWithRedrive(nand::PageData data, SimTime& now) {
 void PageFtl::MarkPendingRetire(std::uint32_t block_id) {
   if (block_health_[block_id] != BlockHealth::kHealthy) return;
   block_health_[block_id] = BlockHealth::kPendingRetire;
+  block_counters_.Withdraw(block_id);
   pending_retire_.push_back(block_id);
   ++out_of_service_blocks_;
   std::uint32_t chip = block_id / config_.geometry.blocks_per_chip;
@@ -479,7 +503,8 @@ void PageFtl::RetireBlock(std::uint32_t block_id) {
     page_state_.Set(ppa, blk.IsProgrammed(p) ? PageState::kBad : PageState::kFree);
     p2l_.Set(ppa, kInvalidLba);
   }
-  block_counters_[block_id] = BlockCounters{};  // caller evacuated live pages
+  block_counters_.Withdraw(block_id);
+  ZeroBlockCounters(block_id);  // caller evacuated live pages
   if (active_block_per_chip_[addr.chip] == block_id) {
     active_block_per_chip_[addr.chip] = kNoActiveBlock;
   }
@@ -527,7 +552,7 @@ FtlResult PageFtl::WritePage(Lba lba, nand::PageData data, SimTime now) {
   l2p_.Set(lba, ppa);
   p2l_.Set(ppa, lba);
   page_state_.Set(ppa, PageState::kValid);
-  ++block_counters_[BlockIdOf(ppa)].valid;
+  block_counters_.AddValid(BlockIdOf(ppa), +1);
   ++valid_pages_;
   ++stats_.host_writes;
   JournalAppend({JournalOpKind::kMap, /*flag=*/false, lba, ppa,
@@ -600,7 +625,7 @@ FtlResult PageFtl::TrimPage(Lba lba, SimTime now) {
       l2p_.Set(lba, tppa);
       p2l_.Set(tppa, lba);
       page_state_.Set(tppa, PageState::kValid);
-      ++block_counters_[BlockIdOf(tppa)].valid;
+      block_counters_.AddValid(BlockIdOf(tppa), +1);
       ++valid_pages_;
       trim_journal_.push_back({now, lba});
       ++stats_.trim_tombstones;
@@ -660,9 +685,7 @@ std::size_t PageFtl::RollBackCore(SimTime detect_time,
         if (current != nand::kInvalidPpa) MarkInvalid(current);
         assert(page_state_.Get(e.old_ppa) == PageState::kRetained);
         page_state_.Set(e.old_ppa, PageState::kValid);
-        BlockCounters& info = block_counters_[BlockIdOf(e.old_ppa)];
-        --info.retained;
-        ++info.valid;
+        block_counters_.ReviveRetained(BlockIdOf(e.old_ppa));
         --retained_pages_;
         ++valid_pages_;
         l2p_.Set(e.lba, e.old_ppa);
@@ -817,7 +840,7 @@ RangeRollbackReport PageFtl::RollBackRange(Lba begin, Lba end,
     l2p_.Set(lba, fresh);
     p2l_.Set(fresh, lba);
     page_state_.Set(fresh, PageState::kValid);
-    ++block_counters_[BlockIdOf(fresh)].valid;
+    block_counters_.AddValid(BlockIdOf(fresh), +1);
     ++valid_pages_;
     JournalAppend({JournalOpKind::kMap, /*flag=*/false, lba, fresh,
                    nand::kInvalidPpa, write_seq_, written_at, now});
@@ -863,7 +886,7 @@ void PageFtl::WipeVolatileState() {
   l2p_.Assign(exported_lbas_, nand::kInvalidPpa);
   p2l_.Assign(geo.TotalPages(), kInvalidLba);
   page_state_.Assign(geo.TotalPages(), PageState::kFree);
-  block_counters_.assign(geo.TotalBlocks(), BlockCounters{});
+  block_counters_.Reset(geo.TotalBlocks());
   for (auto& pool : free_blocks_by_chip_) pool.clear();
   active_block_per_chip_.assign(geo.TotalChips(), kNoActiveBlock);
   free_block_count_ = 0;
@@ -941,6 +964,7 @@ std::size_t PageFtl::RecomputePoolsAndFrontiers() {
       }
     }
   }
+  RebuildCandidateIndex();
   return probe_reads;
 }
 
@@ -1030,7 +1054,7 @@ void PageFtl::FullScanRebuild(RebuildReport& report, SimTime now) {
     l2p_.Set(lba, newest->ppa);
     p2l_.Set(newest->ppa, lba);
     page_state_.Set(newest->ppa, PageState::kValid);
-    ++block_counters_[BlockIdOf(newest->ppa)].valid;
+    block_counters_.AddValid(BlockIdOf(newest->ppa), +1);
     ++valid_pages_;
     if (newest->data->oob.tombstone) {
       rebuilt_trims.push_back({newest->written_at, lba});
@@ -1056,7 +1080,7 @@ void PageFtl::FullScanRebuild(RebuildReport& report, SimTime now) {
   for (const QueuedBackup& qb : backups) {
     page_state_.Set(qb.old_ppa, PageState::kRetained);
     p2l_.Set(qb.old_ppa, qb.lba);
-    ++block_counters_[BlockIdOf(qb.old_ppa)].retained;
+    block_counters_.AddRetained(BlockIdOf(qb.old_ppa), +1);
     ++retained_pages_;
     std::optional<BackupEntry> evicted =
         queue_.Push(qb.lba, qb.old_ppa, qb.displaced_at);
@@ -1097,7 +1121,7 @@ bool PageFtl::ReplayJournalRecord(const JournalRecord& rec) {
       l2p_.Set(rec.lba, rec.ppa);
       p2l_.Set(rec.ppa, rec.lba);
       page_state_.Set(rec.ppa, PageState::kValid);
-      ++block_counters_[BlockIdOf(rec.ppa)].valid;
+      block_counters_.AddValid(BlockIdOf(rec.ppa), +1);
       ++valid_pages_;
       write_seq_ = std::max(write_seq_, rec.seq);
       if (rec.flag) trim_journal_.push_back({rec.t2, rec.lba});
@@ -1133,24 +1157,24 @@ bool PageFtl::ReplayJournalRecord(const JournalRecord& rec) {
       }
       PageState st = page_state_.Get(src);
       Lba lba = p2l_.Get(src);
-      BlockCounters& src_info = block_counters_[BlockIdOf(src)];
-      BlockCounters& dst_info = block_counters_[BlockIdOf(dst)];
+      const std::uint32_t src_block = BlockIdOf(src);
+      const std::uint32_t dst_block = BlockIdOf(dst);
       switch (st) {
         case PageState::kValid:
           if (lba == kInvalidLba) return false;
           l2p_.Set(lba, dst);
-          --src_info.valid;
-          ++dst_info.valid;
+          block_counters_.AddValid(src_block, -1);
+          block_counters_.AddValid(dst_block, +1);
           break;
         case PageState::kRetained:
           if (!queue_.Relocate(src, dst)) return false;
-          --src_info.retained;
-          ++dst_info.retained;
+          block_counters_.AddRetained(src_block, -1);
+          block_counters_.AddRetained(dst_block, +1);
           break;
         case PageState::kArchived:
           if (!store_.Relocate(src, dst)) return false;
-          --src_info.archived;
-          ++dst_info.archived;
+          block_counters_.AddArchived(src_block, -1);
+          block_counters_.AddArchived(dst_block, +1);
           break;
         default:
           return false;
@@ -1167,18 +1191,18 @@ bool PageFtl::ReplayJournalRecord(const JournalRecord& rec) {
       if (src == nand::kInvalidPpa) return false;
       PageState st = page_state_.Get(src);
       Lba lba = p2l_.Get(src);
-      BlockCounters& info = block_counters_[BlockIdOf(src)];
+      const std::uint32_t block_id = BlockIdOf(src);
       if (st == PageState::kValid) {
         if (lba != kInvalidLba) l2p_.Set(lba, nand::kInvalidPpa);
-        --info.valid;
+        block_counters_.AddValid(block_id, -1);
         --valid_pages_;
       } else if (st == PageState::kArchived) {
         store_.DropPpa(src);
-        --info.archived;
+        block_counters_.AddArchived(block_id, -1);
         --archived_pages_;
       } else if (st == PageState::kRetained) {
         if (queue_.Drop(src)) {
-          --info.retained;
+          block_counters_.AddRetained(block_id, -1);
           --retained_pages_;
         }
       } else {
@@ -1202,7 +1226,6 @@ bool PageFtl::ReplayJournalRecord(const JournalRecord& rec) {
           page_state_.Set(ppa, PageState::kFree);
           p2l_.Set(ppa, kInvalidLba);
         }
-        block_counters_[block_id] = BlockCounters{};
         return true;
       }
       // Intent flushed but the erase count never moved: the erase failed and
@@ -1255,7 +1278,7 @@ void PageFtl::ReplayRetireEffects(std::uint32_t block_id) {
                     blk.IsProgrammed(p) ? PageState::kBad : PageState::kFree);
     p2l_.Set(ppa, kInvalidLba);
   }
-  block_counters_[block_id] = BlockCounters{};  // evacuated before retiring
+  ZeroBlockCounters(block_id);  // evacuated before retiring
 }
 
 bool PageFtl::DeltaScan(RebuildReport& report) {
@@ -1339,11 +1362,11 @@ bool PageFtl::DeltaScan(RebuildReport& report) {
       if (page_state_.Get(cur) != PageState::kValid) return false;
       page_state_.Set(cur, PageState::kInvalid);
       p2l_.Set(cur, kInvalidLba);
-      --block_counters_[BlockIdOf(cur)].valid;
+      block_counters_.AddValid(BlockIdOf(cur), -1);
       l2p_.Set(oob.lba, dp.ppa);
       p2l_.Set(dp.ppa, oob.lba);
       page_state_.Set(dp.ppa, PageState::kValid);
-      ++block_counters_[BlockIdOf(dp.ppa)].valid;
+      block_counters_.AddValid(BlockIdOf(dp.ppa), +1);
       continue;
     }
     if (auto it = ring_index.find({oob.lba, oob.written_at});
@@ -1359,10 +1382,10 @@ bool PageFtl::DeltaScan(RebuildReport& report) {
         }
         page_state_.Set(src, PageState::kInvalid);
         p2l_.Set(src, kInvalidLba);
-        --block_counters_[BlockIdOf(src)].retained;
+        block_counters_.AddRetained(BlockIdOf(src), -1);
         page_state_.Set(dp.ppa, PageState::kRetained);
         p2l_.Set(dp.ppa, oob.lba);
-        ++block_counters_[BlockIdOf(dp.ppa)].retained;
+        block_counters_.AddRetained(BlockIdOf(dp.ppa), +1);
         it->second = dp.ppa;
         continue;
       }
@@ -1382,10 +1405,10 @@ bool PageFtl::DeltaScan(RebuildReport& report) {
           if (!store_.Relocate(src, dp.ppa)) return false;
           page_state_.Set(src, PageState::kInvalid);
           p2l_.Set(src, kInvalidLba);
-          --block_counters_[BlockIdOf(src)].archived;
+          block_counters_.AddArchived(BlockIdOf(src), -1);
           page_state_.Set(dp.ppa, PageState::kArchived);
           p2l_.Set(dp.ppa, tag);
-          ++block_counters_[BlockIdOf(dp.ppa)].archived;
+          block_counters_.AddArchived(BlockIdOf(dp.ppa), +1);
           continue;
         }
       }
@@ -1401,7 +1424,7 @@ bool PageFtl::DeltaScan(RebuildReport& report) {
     l2p_.Set(oob.lba, dp.ppa);
     p2l_.Set(dp.ppa, oob.lba);
     page_state_.Set(dp.ppa, PageState::kValid);
-    ++block_counters_[BlockIdOf(dp.ppa)].valid;
+    block_counters_.AddValid(BlockIdOf(dp.ppa), +1);
     ++valid_pages_;
     if (oob.tombstone) trim_journal_.push_back({oob.written_at, oob.lba});
   }
@@ -1430,7 +1453,7 @@ bool PageFtl::DeltaScan(RebuildReport& report) {
                                                : PageState::kFree);
       p2l_.Set(ppa, kInvalidLba);
     }
-    block_counters_[b] = BlockCounters{};
+    ZeroBlockCounters(b);
   }
   return true;
 }

@@ -44,6 +44,7 @@
 #include "ftl/mapping_journal.h"
 #include "ftl/policy.h"
 #include "ftl/recovery_queue.h"
+#include "ftl/victim_index.h"
 #include "nand/flash_array.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -252,7 +253,7 @@ class PageFtl {
   std::uint64_t ResidentBytesEstimate() const {
     std::uint64_t bytes = l2p_.ResidentBytes() + p2l_.ResidentBytes() +
                           page_state_.ResidentBytes() +
-                          block_counters_.capacity() * sizeof(BlockCounters) +
+                          block_counters_.ResidentBytes() +
                           block_health_.capacity() * sizeof(BlockHealth) +
                           active_block_per_chip_.capacity() *
                               sizeof(std::uint32_t);
@@ -381,8 +382,17 @@ class PageFtl {
   /// deterministic media-error sequence. Null for erased/bad pages.
   const nand::PageData* RawPage(nand::Ppa ppa) const;
   bool IsProtected(Lba lba) const { return store_.Protected(lba); }
-  /// Return an erased block to its chip's free pool.
+  /// Return an erased block to its chip's free pool (it leaves the GC
+  /// candidate index with its fullness).
   void RecycleBlock(std::uint32_t block_id);
+  /// A full write frontier just closed: the block becomes a GC candidate.
+  void EnrollCandidate(std::uint32_t block_id);
+  /// Recompute the candidate index from scratch (rebuild paths, once the
+  /// frontiers are known): every full, healthy, non-metadata block that is
+  /// not an active frontier.
+  void RebuildCandidateIndex();
+  /// Zero one block's counters through the index-maintaining mutators.
+  void ZeroBlockCounters(std::uint32_t block_id);
 
   /// Program `data` at a fresh frontier page, transparently re-driving past
   /// program failures: a failed attempt burns its page, flags the block for
@@ -412,7 +422,9 @@ class PageFtl {
   common::LazyTable<nand::Ppa> l2p_;
   common::LazyTable<Lba> p2l_;
   common::LazyTable<PageState> page_state_;
-  std::vector<BlockCounters> block_counters_;
+  /// Per-block valid/retained/archived counters and the GC candidate index
+  /// they key (victim_index.h).
+  BlockCounterTable block_counters_;
   /// Per-chip LIFO pools of erased block ids plus one active block per chip.
   std::vector<std::vector<std::uint32_t>> free_blocks_by_chip_;
   std::vector<std::uint32_t> active_block_per_chip_;

@@ -18,60 +18,45 @@ std::optional<std::uint32_t> StripedAllocationPolicy::NextChip(
 
 std::uint32_t GreedyVictimPolicy::SelectVictim(const PolicyView& view,
                                                std::uint32_t max_movable) {
-  std::uint32_t victim = kNoVictim;
-  std::uint32_t best_movable = max_movable + 1;
-  std::uint64_t best_erases = 0;
-  const std::uint32_t total = view.TotalBlocks();
-  for (std::uint32_t b = 0; b < total; ++b) {
-    if (view.IsActive(b) || view.IsOutOfService(b)) continue;
-    if (!view.IsFull(b)) continue;
-    std::uint32_t movable = view.MovablePages(b);
-    // Greedy on copy cost; ties go to the least-worn block (wear leveling).
-    if (movable < best_movable ||
-        (movable == best_movable && victim != kNoVictim &&
-         view.EraseCount(b) < best_erases)) {
-      best_movable = movable;
-      best_erases = view.EraseCount(b);
-      victim = b;
-    }
+  // Greedy on copy cost, ties to the least-worn block (wear leveling), then
+  // the lowest id: the index's key order, so the minimum is the pick.
+  const VictimIndex& candidates = view.Candidates();
+  if (candidates.Empty() || candidates.Min().movable > max_movable) {
+    return kNoVictim;
   }
-  return victim;
+  return candidates.Min().block;
 }
 
 std::uint32_t CostBenefitVictimPolicy::SelectVictim(
     const PolicyView& view, std::uint32_t max_movable) {
-  const std::uint32_t total = view.TotalBlocks();
+  const VictimIndex& candidates = view.Candidates();
   const double pages = static_cast<double>(view.Geo().pages_per_block);
 
   // First pass: the wear ceiling among candidates, to normalize coldness.
   std::uint64_t max_erases = 0;
-  for (std::uint32_t b = 0; b < total; ++b) {
-    if (view.IsActive(b) || view.IsOutOfService(b) || !view.IsFull(b)) continue;
-    if (view.MovablePages(b) > max_movable) continue;
-    max_erases = std::max(max_erases, view.EraseCount(b));
-  }
+  candidates.ForEachUpTo(max_movable, [&](const VictimIndex::Entry& e) {
+    max_erases = std::max(max_erases, e.erases);
+  });
 
   std::uint32_t victim = kNoVictim;
   double best_score = -1.0;
-  for (std::uint32_t b = 0; b < total; ++b) {
-    if (view.IsActive(b) || view.IsOutOfService(b) || !view.IsFull(b)) continue;
-    std::uint32_t movable = view.MovablePages(b);
-    if (movable > max_movable) continue;
-    double u = static_cast<double>(movable) / pages;
+  candidates.ForEachUpTo(max_movable, [&](const VictimIndex::Entry& e) {
+    double u = static_cast<double>(e.movable) / pages;
     // (1 - u) / (2u): payoff of the freed space over the read+write copy
     // cost. The +epsilon keeps u == 0 finite (and maximal).
     double score = (1.0 - u) / (2.0 * u + 1e-9);
     // Coldness bonus: lightly-erased blocks are preferred so reclamation
     // doubles as wear leveling.
-    double coldness =
-        static_cast<double>(max_erases - view.EraseCount(b)) /
-        static_cast<double>(max_erases + 1);
+    double coldness = static_cast<double>(max_erases - e.erases) /
+                      static_cast<double>(max_erases + 1);
     score *= 1.0 + wear_weight_ * coldness;
-    if (score > best_score) {
+    // The walk is in heap order, so equal scores break explicitly toward
+    // the lowest id (what an ascending scan with a strict > would keep).
+    if (score > best_score || (score == best_score && e.block < victim)) {
       best_score = score;
-      victim = b;
+      victim = e.block;
     }
-  }
+  });
   return victim;
 }
 

@@ -8,9 +8,10 @@
 // selectable cleaning policies (LightNVM targets, F2FS victim selection).
 //
 // Policies see the core through PolicyView, a read-only window over the
-// per-block counters, the NAND wear/fullness state and the allocation
-// frontiers. They hold their own cursor/state but never mutate the core;
-// the core and the GC engine apply their decisions.
+// per-block counters, the GC candidate index (ftl/victim_index.h), the NAND
+// wear/fullness state and the allocation frontiers. They hold their own
+// cursor/state but never mutate the core; the core and the GC engine apply
+// their decisions.
 //
 // The default implementations reproduce the pre-refactor monolith decision
 // for decision (the gc_policy parity test pins this stat-for-stat).
@@ -22,6 +23,7 @@
 #include <vector>
 
 #include "ftl/ftl_types.h"
+#include "ftl/victim_index.h"
 #include "nand/flash_array.h"
 
 namespace insider::ftl {
@@ -30,12 +32,12 @@ namespace insider::ftl {
 inline constexpr std::uint32_t kNoVictim = 0xFFFFFFFFu;
 
 /// Read-only window onto the mapping core for policy decisions. Cheap,
-/// non-virtual accessors: victim scans touch every block and allocation runs
-/// once per page program, so this sits on hot paths.
+/// non-virtual accessors: allocation runs once per page program and victim
+/// selection once per reclaimed block, so this sits on hot paths.
 class PolicyView {
  public:
   PolicyView(const nand::Geometry& geometry, const nand::FlashArray& nand,
-             const std::vector<BlockCounters>& block_counters,
+             const BlockCounterTable& block_counters,
              const std::vector<std::uint32_t>& active_block_per_chip,
              const std::vector<std::vector<std::uint32_t>>& free_blocks_by_chip,
              const std::vector<BlockHealth>& block_health)
@@ -50,6 +52,11 @@ class PolicyView {
   }
 
   // Victim-selection side ------------------------------------------------
+
+  /// Every GC candidate — full, not an active frontier, healthy, not a
+  /// metadata block — keyed by (movable pages, erase count, block id). The
+  /// per-block predicates below define the same set one block at a time.
+  const VictimIndex& Candidates() const { return block_counters_.Index(); }
 
   std::uint32_t ValidPages(std::uint32_t block_id) const {
     return block_counters_[block_id].valid;
@@ -109,7 +116,7 @@ class PolicyView {
 
   const nand::Geometry& geometry_;
   const nand::FlashArray& nand_;
-  const std::vector<BlockCounters>& block_counters_;
+  const BlockCounterTable& block_counters_;
   const std::vector<std::uint32_t>& active_block_per_chip_;
   const std::vector<std::vector<std::uint32_t>>& free_blocks_by_chip_;
   const std::vector<BlockHealth>& block_health_;
@@ -161,7 +168,9 @@ class VictimPolicy {
 
 /// Greedy selection: the full block with the fewest movable pages (minimum
 /// copy cost), ties broken toward the least-worn block so wear stays
-/// bounded. This is the paper's baseline GC and the parity-pinned default.
+/// bounded, then toward the lowest id. That is the candidate index's key
+/// order, so the pick is the index minimum: O(1), no scan. This is the
+/// paper's baseline GC and the parity-pinned default.
 class GreedyVictimPolicy final : public VictimPolicy {
  public:
   const char* Name() const override { return "greedy"; }
@@ -175,7 +184,8 @@ class GreedyVictimPolicy final : public VictimPolicy {
 /// by a coldness bonus for lightly-erased blocks. Versus greedy it will
 /// accept a slightly fuller victim when that victim is much colder, trading
 /// a few extra copies for a flatter wear distribution — the knob the
-/// delayed-deletion GC debate in the paper is actually about.
+/// delayed-deletion GC debate in the paper is actually about. Walks only the
+/// candidates under the cap; equal scores go to the lowest block id.
 class CostBenefitVictimPolicy final : public VictimPolicy {
  public:
   /// `wear_weight` scales the coldness bonus; 0 degenerates to pure

@@ -37,9 +37,7 @@ class FtlStateTamperer {
   /// Violation class 3 — valid-count drift: skew one block's occupancy
   /// counter away from what the page states imply.
   void BumpBlockValidCounter(std::uint32_t block_id, std::int32_t delta) {
-    ftl_.block_counters_[block_id].valid =
-        static_cast<std::uint32_t>(static_cast<std::int64_t>(
-            ftl_.block_counters_[block_id].valid) + delta);
+    ftl_.block_counters_.AddValid(block_id, delta);
   }
 
   /// Violation class 4 — bad-block mismatch: declare a block retired in the
@@ -54,8 +52,19 @@ class FtlStateTamperer {
   /// the store cross-checks fire: no object stores this page).
   void OrphanArchivedPage(nand::Ppa ppa) {
     ftl_.page_state_.Set(ppa, PageState::kArchived);
-    ++ftl_.block_counters_[ftl_.BlockIdOf(ppa)].archived;
+    ftl_.block_counters_.AddArchived(ftl_.BlockIdOf(ppa), +1);
     ++ftl_.archived_pages_;
+  }
+
+  /// Violation class 6 — stale victim key: the GC candidate index keeps its
+  /// first candidate under a movable-page count the block's counters no
+  /// longer hold, as if a counter update had bypassed the index. Returns
+  /// that block's id (kNoVictim when the index is empty: nothing planted).
+  std::uint32_t PlantStaleVictimKey() {
+    VictimIndex& index = ftl_.block_counters_.index_;
+    if (index.size_ == 0) return kNoVictim;
+    ++index.heap_[0].movable;
+    return index.heap_[0].block;
   }
 
  private:

@@ -2,6 +2,8 @@
 // time, honoring retained backups exactly like foreground GC.
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "ftl/page_ftl.h"
 #include "nand/geometry.h"
 
@@ -94,6 +96,70 @@ TEST(IdleGcTest, RetainedDataStaysRecoverableThroughIdleGc) {
     EXPECT_EQ(ftl.ReadPage(lba, Seconds(22)).data.stamp, lba) << lba;
   }
   EXPECT_EQ(ftl.CheckInvariants(), "");
+}
+
+/// One chip, 16 blocks of 8 pages, conventional mode: two GC candidates
+/// with a known shape. Block 0 is cold (never erased) with 3 valid pages;
+/// the hot block holding LBAs 14-15 has been erased at least once and keeps
+/// 2 valid pages. Every other block is free or the open frontier.
+struct HotColdDevice {
+  std::unique_ptr<PageFtl> ftl;
+  nand::Ppa cold_page = nand::kInvalidPpa;  ///< LBA 5, in block 0
+  nand::Ppa hot_page = nand::kInvalidPpa;   ///< LBA 14, in the hot block
+};
+
+HotColdDevice BuildHotColdDevice() {
+  FtlConfig c;
+  c.geometry.channels = 1;
+  c.geometry.ways = 1;
+  c.geometry.blocks_per_chip = 16;
+  c.geometry.pages_per_block = 8;
+  c.latency = nand::LatencyModel::Zero();
+  c.delayed_deletion = false;
+  HotColdDevice d;
+  d.ftl = std::make_unique<PageFtl>(c);
+  PageFtl& ftl = *d.ftl;
+  for (Lba lba = 0; lba < 8; ++lba) ftl.WritePage(lba, {1, {}}, 0);
+  // Churn LBAs 8-15 until GC has cycled every other block.
+  for (std::uint64_t round = 0; round < 100; ++round) {
+    for (Lba lba = 8; lba < 16; ++lba) ftl.WritePage(lba, {round, {}}, 0);
+  }
+  ftl.IdleCollect(0, 16, /*max_movable=*/0);  // drop the dead blocks
+  for (Lba lba = 0; lba < 5; ++lba) ftl.TrimPage(lba, 0);
+  for (Lba lba = 8; lba < 14; ++lba) ftl.TrimPage(lba, 0);
+  ftl.WritePage(16, {1, {}}, 0);  // closes the hot block's frontier
+  d.cold_page = *ftl.Lookup(5);
+  d.hot_page = *ftl.Lookup(14);
+  return d;
+}
+
+std::uint64_t EraseCountOf(const PageFtl& ftl, nand::Ppa ppa) {
+  const nand::Geometry& geo = ftl.Config().geometry;
+  return ftl.Nand().BlockAt(geo.BlockAddrOf(ppa)).EraseCount();
+}
+
+// Idle GC's cap binds the victim it collects, not only a peek: under
+// cost-benefit a cold block one page above the cap outscores a hot block at
+// the cap, and IdleCollect must take the hot block (or nothing).
+TEST(IdleGcTest, CostBenefitNeverCollectsAboveTheCap) {
+  HotColdDevice twin = BuildHotColdDevice();
+  ASSERT_EQ(EraseCountOf(*twin.ftl, twin.cold_page), 0u);
+  ASSERT_GT(EraseCountOf(*twin.ftl, twin.hot_page), 0u);
+  // With the cap at 3 both qualify and cost-benefit prefers the cold one:
+  // the pick an uncapped second selection would make.
+  twin.ftl->SetVictimPolicy(std::make_unique<CostBenefitVictimPolicy>(4.0));
+  EXPECT_EQ(twin.ftl->IdleCollect(0, 1, /*max_movable=*/3), 1u);
+  EXPECT_NE(*twin.ftl->Lookup(5), twin.cold_page);
+  EXPECT_EQ(*twin.ftl->Lookup(14), twin.hot_page);
+
+  HotColdDevice d = BuildHotColdDevice();
+  d.ftl->SetVictimPolicy(std::make_unique<CostBenefitVictimPolicy>(4.0));
+  const std::uint64_t erases_before = d.ftl->Stats().gc_erases;
+  EXPECT_EQ(d.ftl->IdleCollect(0, 4, /*max_movable=*/2), 1u);
+  EXPECT_EQ(*d.ftl->Lookup(5), d.cold_page);  // cold block untouched
+  EXPECT_NE(*d.ftl->Lookup(14), d.hot_page);  // hot block reclaimed
+  EXPECT_EQ(d.ftl->Stats().gc_erases, erases_before + 1);
+  EXPECT_EQ(d.ftl->CheckInvariants(), "");
 }
 
 }  // namespace

@@ -5,7 +5,8 @@
 // inconsistency from a known violation class and asserts the auditor reports
 // that class: stale L2P mapping, dangling recovery-queue backup (both a
 // rogue NAND erase and an out-of-window entry), per-block valid-count drift,
-// and a bad-block table that disagrees with NAND reality.
+// a stale GC candidate-index key, and a bad-block table that disagrees with
+// NAND reality.
 
 #include <gtest/gtest.h>
 
@@ -146,6 +147,28 @@ TEST(InvariantAuditorTest, DetectsValidCountDrift) {
   AuditReport report = InvariantAuditor::Audit(ftl);
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(report.Has(Kind::kCounterDrift)) << report.Diff();
+}
+
+// Violation class 6 — stale victim key (C3): the GC candidate index holds a
+// block under a key its counters no longer give it, so greedy selection
+// would read a wrong minimum.
+TEST(InvariantAuditorTest, DetectsStaleVictimIndexKey) {
+  PageFtl ftl(SmallConfig());
+  Churn(ftl, 0x5EED, 600);
+  ASSERT_TRUE(InvariantAuditor::Audit(ftl).ok());
+
+  const std::uint32_t block = FtlStateTamperer(ftl).PlantStaleVictimKey();
+  ASSERT_NE(block, kNoVictim) << "churn left no GC candidate";
+
+  AuditReport report = InvariantAuditor::Audit(ftl);
+  EXPECT_FALSE(report.ok());
+  EXPECT_TRUE(report.Has(Kind::kCounterDrift)) << report.Diff();
+  const std::string diff = report.Diff();
+  EXPECT_NE(diff.find("victim index, block " + std::to_string(block)),
+            std::string::npos)
+      << diff;
+  EXPECT_NE(diff.find("expected: member under key"), std::string::npos)
+      << diff;
 }
 
 // Violation class 4 — bad-block mismatch: the health table says Retired but
