@@ -46,16 +46,6 @@ enum class VictimPolicyKind {
   kCostBenefit,  ///< Rosenblum-style (1-u)/(2u) score with a wear bonus
 };
 
-/// Which allocation (write-frontier) policy the FTL instantiates.
-enum class AllocationPolicyKind {
-  kStriped,  ///< round-robin chip striping (channel/way parallelism)
-};
-
-/// Which retention rule governs how long displaced versions stay recoverable.
-enum class RetentionPolicyKind {
-  kWindow,  ///< paper rule: fixed time window + capacity-bounded queue
-};
-
 /// Durable-metadata (checkpoint + write-ahead mapping journal) knobs. Off by
 /// default: the seed device rebuilds by full OOB scan only, and every golden
 /// counter in the tier-1 suite assumes no metadata traffic.
@@ -65,10 +55,6 @@ struct CheckpointConfig {
   bool enabled = false;
   /// Firmware-scheduler period between checkpoint flushes (Ssd wiring).
   SimTime interval = Seconds(5);
-  /// Journal records packed per metadata page. 4 KiB page / ~40 B packed
-  /// record, held conservatively below that to leave room for the CRC/seq
-  /// page stamp.
-  std::uint32_t journal_records_per_page = 96;
   /// Blocks per journal region (two regions, double-buffered). The journal
   /// tail that survives a crash is bounded by this region size; overflow
   /// before the next checkpoint forces a full-scan fallback.
@@ -100,7 +86,9 @@ struct FtlConfig {
   /// golden-counter parity tests opt out to keep their pinned monolith
   /// numbers meaningful.
   bool trim_tombstones = true;
-  /// How long displaced versions stay recoverable (paper: 10 s).
+  /// How long displaced versions stay recoverable (paper: 10 s). Expiry
+  /// and rollback both measure against it; a config ValidateRetentionConfig
+  /// rejects runs with 10 s instead.
   SimTime retention_window = Seconds(10);
   /// Recovery-queue capacity in entries (paper Table III: 2,621,440 ~ 30 MB;
   /// 0 = unbounded). When full, the oldest backups are force-released.
@@ -116,10 +104,8 @@ struct FtlConfig {
   /// Background GC stops once the free pool recovers to this level
   /// (hysteresis so the task doesn't thrash around the low watermark).
   std::uint32_t gc_high_watermark_blocks = 12;
-  /// Pluggable-policy selection (defaults reproduce the seed behavior).
-  AllocationPolicyKind allocation_policy = AllocationPolicyKind::kStriped;
+  /// GC victim selection (greedy reproduces the seed behavior).
   VictimPolicyKind victim_policy = VictimPolicyKind::kGreedy;
-  RetentionPolicyKind retention_policy = RetentionPolicyKind::kWindow;
   /// Fraction of physical pages exported as logical capacity; the rest is
   /// over-provisioning for GC efficiency.
   double exported_fraction = 0.9;

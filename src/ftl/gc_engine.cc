@@ -182,8 +182,9 @@ bool GcEngine::EnsureFreeSpace(SimTime& now) {
       // their recoverability, as a capacity-bounded queue would) so GC can
       // make progress; otherwise the device is genuinely full.
       if (f.config_.delayed_deletion && !f.queue_.Empty()) {
-        std::uint32_t batch =
-            f.retention_->ForcedReleaseBatch(f.config_.geometry);
+        // One erase block's worth, so a forced round can actually make a
+        // block reclaimable.
+        const std::uint32_t batch = f.config_.geometry.pages_per_block;
         for (std::uint32_t i = 0; i < batch; ++i) {
           std::optional<BackupEntry> e = f.queue_.PopOldest();
           if (!e) break;
@@ -198,8 +199,7 @@ bool GcEngine::EnsureFreeSpace(SimTime& now) {
       // sacrifice the oldest versions next — protected ranges degrade last,
       // but they do degrade before the device refuses writes.
       if (f.store_.VersionCount() > 0) {
-        std::uint32_t batch =
-            f.retention_->ForcedReleaseBatch(f.config_.geometry);
+        const std::uint32_t batch = f.config_.geometry.pages_per_block;
         std::size_t freed = f.store_.EvictOldest(
             batch, [&f](nand::Ppa p) {
               f.ReleaseArchived(p);

@@ -17,9 +17,9 @@
 //
 // Victim choice is delegated to the pluggable VictimPolicy; the engine owns
 // only the mechanics: copy valid/retained/archived pages to fresh frontiers
-// (through the shared AllocationPolicy), repoint mappings, recovery-queue
-// guards and version-store objects, absorb uncorrectable-ECC losses, erase,
-// and recycle the block.
+// (through the mapping core's write stripe, shared with host writes),
+// repoint mappings, recovery-queue guards and version-store objects, absorb
+// uncorrectable-ECC losses, erase, and recycle the block.
 #pragma once
 
 #include <cstddef>

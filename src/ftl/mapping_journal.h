@@ -46,7 +46,7 @@ enum class JournalOpKind : std::uint8_t {
 };
 
 /// One packed redo record (~40 B modeled on media; see
-/// CheckpointConfig::journal_records_per_page). Field use by kind:
+/// kJournalRecordsPerPage in page_ftl.cc). Field use by kind:
 ///   kMap        lba, ppa (new page), seq, t1 = written_at, t2 = displacement
 ///               time for the old version, flag = tombstone
 ///   kTrim       lba, t1 = trim time

@@ -12,6 +12,18 @@
 #include "ftl/invariant_auditor.h"
 
 namespace insider::ftl {
+namespace {
+
+/// The paper's recoverability window, used instead of a configured window
+/// that ValidateRetentionConfig rejects.
+constexpr SimTime kFallbackRetentionWindow = Seconds(10);
+
+/// Journal records packed per metadata page: 4 KiB page / ~40 B packed
+/// record, held conservatively below that to leave room for the CRC/seq
+/// page stamp.
+constexpr std::uint32_t kJournalRecordsPerPage = 96;
+
+}  // namespace
 
 #ifdef INSIDER_AUDIT
 namespace {
@@ -66,7 +78,7 @@ void PageFtl::JournalAppend(const JournalRecord& rec) {
 
 void PageFtl::JournalFlushBatches(SimTime now) {
   if (!journal_.Enabled() || replaying_) return;
-  if (journal_.PendingCount() < config_.checkpoint.journal_records_per_page) {
+  if (journal_.PendingCount() < kJournalRecordsPerPage) {
     return;  // durability lags at most one page batch behind DRAM
   }
   SimTime complete = now;
@@ -150,26 +162,24 @@ PageFtl::PageFtl(const FtlConfig& config)
       nand_(config.geometry, config.latency, config.errors,
             config.error_seed),
       queue_(config.recovery_queue_capacity),
-      allocation_(MakeAllocationPolicy(config)),
       victim_(MakeVictimPolicy(config)),
-      retention_(nullptr),
+      retention_error_(ValidateRetentionConfig(config)),
+      retention_window_(retention_error_.ok() ? config.retention_window
+                                              : kFallbackRetentionWindow),
       // A config the validator rejects must not half-enable versioning: the
       // store only receives the policy table when the config is sound.
-      store_(ValidateRetentionConfig(config).ok() ? config.range_policies
-                                                  : nullptr),
+      store_(retention_error_.ok() ? config.range_policies : nullptr),
       view_(config_.geometry, nand_, block_counters_, active_block_per_chip_,
-            free_blocks_by_chip_, block_health_),
+            block_health_),
       gc_(*this) {
-  retention_ = MakeRetentionPolicy(config_, &retention_error_);
-  if (retention_ == nullptr) {
+  if (!retention_error_.ok()) {
     // A config that would retain nothing defeats the device's whole purpose;
     // refuse it loudly and run with the paper's default instead of silently
-    // constructing a no-op policy.
+    // retaining nothing.
     INSIDER_LOG_ERROR << "rejected retention config ("
                       << ToString(retention_error_.issue) << ": "
                       << retention_error_.detail
                       << "); falling back to the 10 s window policy";
-    retention_ = std::make_unique<WindowRetentionPolicy>(Seconds(10));
   }
   nand_.SetFaultPlan(config_.fault_plan);
   const nand::Geometry& geo = config_.geometry;
@@ -202,7 +212,7 @@ PageFtl::PageFtl(const FtlConfig& config)
                                    std::move(groups[1]));
     journal_ = MappingJournal(&nand_, std::move(groups[2]),
                               std::move(groups[3]),
-                              ck.journal_records_per_page);
+                              kJournalRecordsPerPage);
     reserved_pages = static_cast<std::uint64_t>(metadata_blocks_.size()) *
                      geo.pages_per_block;
   }
@@ -230,19 +240,9 @@ PageFtl::PageFtl(const FtlConfig& config)
   free_block_count_ = geo.TotalBlocks() - metadata_blocks_.size();
 }
 
-void PageFtl::SetAllocationPolicy(std::unique_ptr<AllocationPolicy> policy) {
-  assert(policy);
-  allocation_ = std::move(policy);
-}
-
 void PageFtl::SetVictimPolicy(std::unique_ptr<VictimPolicy> policy) {
   assert(policy);
   victim_ = std::move(policy);
-}
-
-void PageFtl::SetRetentionPolicy(std::unique_ptr<RetentionPolicy> policy) {
-  assert(policy);
-  retention_ = std::move(policy);
 }
 
 bool PageFtl::IsActiveBlock(std::uint32_t block_id) const {
@@ -260,15 +260,30 @@ nand::BlockAddr PageFtl::AddrOfBlockId(std::uint32_t block_id) const {
   return {block_id / geo.blocks_per_chip, block_id % geo.blocks_per_chip};
 }
 
+std::optional<std::uint32_t> PageFtl::NextChip() {
+  const std::uint32_t chips = config_.geometry.TotalChips();
+  for (std::uint32_t tries = 0; tries < chips; ++tries) {
+    std::uint32_t chip = next_chip_;
+    next_chip_ = (next_chip_ + 1) % chips;
+    std::uint32_t active = active_block_per_chip_[chip];
+    if ((active != kNoActiveBlock &&
+         !nand_.BlockAt(AddrOfBlockId(active)).IsFull()) ||
+        !free_blocks_by_chip_[chip].empty()) {
+      return chip;
+    }
+  }
+  return std::nullopt;
+}
+
 nand::Ppa PageFtl::AllocatePage() {
   const nand::Geometry& geo = config_.geometry;
-  std::optional<std::uint32_t> chip = allocation_->NextChip(view_);
+  std::optional<std::uint32_t> chip = NextChip();
   if (!chip) return nand::kInvalidPpa;
   std::uint32_t& active = active_block_per_chip_[*chip];
   if (active == kNoActiveBlock ||
       nand_.BlockAt(AddrOfBlockId(active)).IsFull()) {
     auto& pool = free_blocks_by_chip_[*chip];
-    assert(!pool.empty());  // ChipCanAllocate guaranteed a free block
+    assert(!pool.empty());  // NextChip guaranteed a free block
     if (active != kNoActiveBlock) EnrollCandidate(active);
     active = pool.back();
     pool.pop_back();
@@ -387,7 +402,7 @@ void PageFtl::ReleaseExpired(SimTime now) {
   const std::size_t ring_before = queue_.Size();
   const std::size_t trims_before = trim_journal_.size();
   const std::size_t store_before = store_.VersionCount();
-  SimTime horizon = retention_->ExpiryHorizon(now);
+  SimTime horizon = now - retention_window_;
   last_release_horizon_ = std::max(last_release_horizon_, horizon);
   queue_.ReleaseUpTo(horizon, [this, now](const BackupEntry& e) {
     ReleaseBackup(e, now);
@@ -677,7 +692,7 @@ std::optional<nand::Ppa> PageFtl::Lookup(Lba lba) const {
 
 std::size_t PageFtl::RollBackCore(SimTime detect_time,
                                   std::vector<Lba>* touched_out) {
-  SimTime horizon = detect_time - config_.retention_window;
+  SimTime horizon = detect_time - retention_window_;
   std::unordered_set<Lba> touched;
   std::size_t reverted = queue_.RollBack(
       horizon, [this, &touched](const BackupEntry& e) {

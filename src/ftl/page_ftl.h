@@ -13,18 +13,19 @@
 // the mapping table to its state `retention_window` ago — the paper's
 // "perfect recovery" that needs no data copies.
 //
-// Since the policy split, this class owns only the translation *state*
-// (L2P/P2L tables, page states, per-block counters, free pools, the recovery
-// queue) and the host-facing I/O mechanics. Decisions are delegated:
+// This class owns the translation *state* (L2P/P2L tables, page states,
+// per-block counters, free pools, the recovery queue), the host-facing I/O
+// mechanics, round-robin write striping across chips, and the retention
+// window that both expiry and rollback measure against. Two pieces live
+// elsewhere:
 //
-//   AllocationPolicy  which chip's write frontier takes the next page
-//   VictimPolicy      which full block GC reclaims next
-//   RetentionPolicy   how long displaced versions stay recoverable
+//   VictimPolicy      which full block GC reclaims next (policy.h; greedy
+//                     or cost-benefit, swappable at runtime)
 //   GcEngine          the reclamation mechanics (foreground / background /
-//                     idle), driving the policies above
+//                     idle), driving the victim policy
 //
-// Defaults (striped / greedy / window) reproduce the pre-split monolith
-// stat-for-stat — the gc_policy parity test pins this.
+// The greedy default reproduces the pre-split monolith stat-for-stat — the
+// gc_policy parity test pins this.
 #pragma once
 
 #include <cstdint>
@@ -74,8 +75,8 @@ class PageFtl {
   void SetReadOnly(bool read_only) { read_only_ = read_only; }
   bool IsReadOnly() const { return read_only_; }
 
-  /// Roll the mapping table back to its state at `detect_time -
-  /// retention_window`. The device must already be read-only. Backups older
+  /// Roll the mapping table back to its state one retention window before
+  /// `detect_time`. The device must already be read-only. Backups older
   /// than the horizon are kept (their versions are deemed safe).
   RollbackReport RollBack(SimTime detect_time);
 
@@ -148,16 +149,12 @@ class PageFtl {
   const MappingJournal& Journal() const { return journal_; }
   const CheckpointStore& Checkpoints() const { return checkpoints_; }
 
-  // Policy plumbing ------------------------------------------------------
+  // Victim policy --------------------------------------------------------
 
-  /// Swap a policy at runtime (experiments sweep these). The default
-  /// instances are built from the FtlConfig enums.
-  void SetAllocationPolicy(std::unique_ptr<AllocationPolicy> policy);
+  /// Swap the GC victim policy at runtime (experiments sweep it). The
+  /// default instance is built from FtlConfig::victim_policy.
   void SetVictimPolicy(std::unique_ptr<VictimPolicy> policy);
-  void SetRetentionPolicy(std::unique_ptr<RetentionPolicy> policy);
-  const AllocationPolicy& Allocation() const { return *allocation_; }
   const VictimPolicy& Victim() const { return *victim_; }
-  const RetentionPolicy& Retention() const { return *retention_; }
 
   // Background / idle reclamation ---------------------------------------
 
@@ -182,9 +179,9 @@ class PageFtl {
   std::size_t IdleCollect(SimTime now, std::size_t max_blocks,
                           std::uint32_t max_movable = 8);
 
-  /// Release recovery-queue entries older than the retention policy's
-  /// horizon. The I/O paths call this implicitly; exposed so the firmware
-  /// scheduler can age backups out during idle time too.
+  /// Release recovery-queue entries older than one retention window. The
+  /// I/O paths call this implicitly; exposed so the firmware scheduler can
+  /// age backups out during idle time too.
   void ReleaseExpired(SimTime now);
 
   // Introspection -------------------------------------------------------
@@ -221,16 +218,13 @@ class PageFtl {
   const version::VersionStore& Store() const { return store_; }
   /// Outcome of validating FtlConfig's retention settings at construction.
   /// On rejection the FTL logged the issue and fell back to the paper's
-  /// 10 s window policy rather than running with no-op retention.
+  /// 10 s window rather than running with no-op retention.
   const RetentionConfigError& RetentionConfigStatus() const {
     return retention_error_;
   }
 
   // Fault / bad-block introspection --------------------------------------
 
-  BlockHealth HealthOf(std::uint32_t block_id) const {
-    return block_health_[block_id];
-  }
   std::uint32_t RetiredBlockCount() const { return retired_blocks_; }
   /// Latched when fault-driven block retirement exhausted the spare pool and
   /// a write could not be placed: the device degrades to read-only (reads
@@ -361,8 +355,15 @@ class PageFtl {
   std::size_t RollBackCore(SimTime detect_time,
                            std::vector<Lba>* touched_out);
 
-  /// Get a programmable PPA at a write frontier: ask the allocation policy
-  /// for a chip, open a fresh block there if the active one is full. Returns
+  /// Round-robin chip striping: consecutive allocations walk the chips so a
+  /// burst of writes spreads across every channel/way. Chips that can supply
+  /// no page (active block full, no free block) are skipped; the cursor
+  /// advances past them too, so the stripe stays fair as chips fill at
+  /// different rates. Host writes and GC relocation share the cursor.
+  /// Returns nullopt when no chip can allocate (device full).
+  std::optional<std::uint32_t> NextChip();
+  /// Get a programmable PPA at a write frontier: take the next chip of the
+  /// stripe, open a fresh block there if the active one is full. Returns
   /// kInvalidPpa if every chip is out of free blocks and full.
   nand::Ppa AllocatePage();
 
@@ -381,7 +382,6 @@ class PageFtl {
   /// trick IsTombstone uses), so bookkeeping never perturbs the
   /// deterministic media-error sequence. Null for erased/bad pages.
   const nand::PageData* RawPage(nand::Ppa ppa) const;
-  bool IsProtected(Lba lba) const { return store_.Protected(lba); }
   /// Return an erased block to its chip's free pool (it leaves the GC
   /// candidate index with its fullness).
   void RecycleBlock(std::uint32_t block_id);
@@ -429,6 +429,10 @@ class PageFtl {
   std::vector<std::vector<std::uint32_t>> free_blocks_by_chip_;
   std::vector<std::uint32_t> active_block_per_chip_;
   std::size_t free_block_count_ = 0;
+  /// Next chip of the write stripe (NextChip). Not part of the volatile
+  /// state: a power cycle or rebuild keeps the cursor where it was, and the
+  /// power-cycle golden counters depend on that.
+  std::uint32_t next_chip_ = 0;
   static constexpr std::uint32_t kNoActiveBlock = PolicyView::kNoActiveBlockId;
 
   RecoveryQueue queue_;
@@ -465,12 +469,11 @@ class PageFtl {
   std::uint64_t archived_pages_ = 0;
   FtlStats stats_;
 
-  std::unique_ptr<AllocationPolicy> allocation_;
   std::unique_ptr<VictimPolicy> victim_;
-  std::unique_ptr<RetentionPolicy> retention_;
-  /// Why MakeRetentionPolicy rejected the config, if it did (the ctor then
-  /// falls back to the paper-default window policy).
+  /// Why ValidateRetentionConfig rejected the config, if it did, and the
+  /// window in force as a result (the paper's 10 s on rejection).
   RetentionConfigError retention_error_;
+  SimTime retention_window_;
   /// Long-term home of protected ranges' old versions (ftl_types.h
   /// range_policies); inert when no ranges are configured.
   version::VersionStore store_;

@@ -2,20 +2,6 @@
 
 namespace insider::ftl {
 
-std::optional<std::uint32_t> StripedAllocationPolicy::NextChip(
-    const PolicyView& view) {
-  // Stripe across chips round-robin; skip chips that are full and have no
-  // free block to open. The cursor advances past skipped chips too, so the
-  // stripe stays fair as chips fill at different rates.
-  const std::uint32_t chips = view.ChipCount();
-  for (std::uint32_t tries = 0; tries < chips; ++tries) {
-    std::uint32_t chip = next_chip_;
-    next_chip_ = (next_chip_ + 1) % chips;
-    if (view.ChipCanAllocate(chip)) return chip;
-  }
-  return std::nullopt;
-}
-
 std::uint32_t GreedyVictimPolicy::SelectVictim(const PolicyView& view,
                                                std::uint32_t max_movable) {
   // Greedy on copy cost, ties to the least-worn block (wear leveling), then
@@ -58,15 +44,6 @@ std::uint32_t CostBenefitVictimPolicy::SelectVictim(
     }
   });
   return victim;
-}
-
-std::unique_ptr<AllocationPolicy> MakeAllocationPolicy(
-    const FtlConfig& config) {
-  switch (config.allocation_policy) {
-    case AllocationPolicyKind::kStriped:
-      break;
-  }
-  return std::make_unique<StripedAllocationPolicy>();
 }
 
 std::unique_ptr<VictimPolicy> MakeVictimPolicy(const FtlConfig& config) {
@@ -119,18 +96,6 @@ RetentionConfigError ValidateRetentionConfig(const FtlConfig& config) {
     }
   }
   return {};
-}
-
-std::unique_ptr<RetentionPolicy> MakeRetentionPolicy(
-    const FtlConfig& config, RetentionConfigError* error) {
-  RetentionConfigError check = ValidateRetentionConfig(config);
-  if (error != nullptr) *error = check;
-  if (!check.ok()) return nullptr;
-  switch (config.retention_policy) {
-    case RetentionPolicyKind::kWindow:
-      break;
-  }
-  return std::make_unique<WindowRetentionPolicy>(config.retention_window);
 }
 
 }  // namespace insider::ftl

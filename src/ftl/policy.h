@@ -1,25 +1,22 @@
-// Pluggable FTL policies.
+// GC victim-selection policies.
 //
 // The mapping core (page_ftl.h) keeps the translation state and the I/O
-// mechanics; *what* to do with the freedom those mechanics leave — which
-// chip's write frontier supplies the next page, which full block GC should
-// reclaim, how long displaced versions stay recoverable — is delegated to
-// three small policy interfaces, the way log-structured systems expose
-// selectable cleaning policies (LightNVM targets, F2FS victim selection).
+// mechanics, including write striping and the retention window. The one
+// decision it delegates is which full block GC reclaims next: VictimPolicy
+// is a small interface, the way log-structured systems expose selectable
+// cleaning policies (LightNVM targets, F2FS victim selection).
 //
 // Policies see the core through PolicyView, a read-only window over the
 // per-block counters, the GC candidate index (ftl/victim_index.h), the NAND
-// wear/fullness state and the allocation frontiers. They hold their own
-// cursor/state but never mutate the core; the core and the GC engine apply
-// their decisions.
+// wear/fullness state and the write frontiers. They never mutate the core;
+// the GC engine applies their decisions.
 //
-// The default implementations reproduce the pre-refactor monolith decision
-// for decision (the gc_policy parity test pins this stat-for-stat).
+// The greedy default reproduces the pre-refactor monolith decision for
+// decision (the gc_policy parity test pins this stat-for-stat).
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "ftl/ftl_types.h"
@@ -31,27 +28,23 @@ namespace insider::ftl {
 /// No reclaimable block satisfied the victim constraints.
 inline constexpr std::uint32_t kNoVictim = 0xFFFFFFFFu;
 
-/// Read-only window onto the mapping core for policy decisions. Cheap,
-/// non-virtual accessors: allocation runs once per page program and victim
-/// selection once per reclaimed block, so this sits on hot paths.
+/// Read-only window onto the mapping core for victim selection. Cheap,
+/// non-virtual accessors: selection runs once per reclaimed block, so this
+/// sits on a hot path.
 class PolicyView {
  public:
   PolicyView(const nand::Geometry& geometry, const nand::FlashArray& nand,
              const BlockCounterTable& block_counters,
              const std::vector<std::uint32_t>& active_block_per_chip,
-             const std::vector<std::vector<std::uint32_t>>& free_blocks_by_chip,
              const std::vector<BlockHealth>& block_health)
       : geometry_(geometry), nand_(nand), block_counters_(block_counters),
         active_block_per_chip_(active_block_per_chip),
-        free_blocks_by_chip_(free_blocks_by_chip),
         block_health_(block_health) {}
 
   const nand::Geometry& Geo() const { return geometry_; }
   std::uint32_t TotalBlocks() const {
     return static_cast<std::uint32_t>(geometry_.TotalBlocks());
   }
-
-  // Victim-selection side ------------------------------------------------
 
   /// Every GC candidate — full, not an active frontier, healthy, not a
   /// metadata block — keyed by (movable pages, erase count, block id). The
@@ -89,23 +82,6 @@ class PolicyView {
            nand_.IsMetadataBlock(block_id);
   }
 
-  // Allocation side ------------------------------------------------------
-
-  std::uint32_t ChipCount() const { return geometry_.TotalChips(); }
-  /// Can this chip supply a programmable page right now — either its active
-  /// block has room or a free block is available to open?
-  bool ChipCanAllocate(std::uint32_t chip) const {
-    std::uint32_t active = active_block_per_chip_[chip];
-    if (active != kNoActiveBlockId &&
-        !nand_.BlockAt(AddrOf(active)).IsFull()) {
-      return true;
-    }
-    return !free_blocks_by_chip_[chip].empty();
-  }
-  std::size_t FreeBlocksOnChip(std::uint32_t chip) const {
-    return free_blocks_by_chip_[chip].size();
-  }
-
   static constexpr std::uint32_t kNoActiveBlockId = 0xFFFFFFFFu;
 
  private:
@@ -118,35 +94,7 @@ class PolicyView {
   const nand::FlashArray& nand_;
   const BlockCounterTable& block_counters_;
   const std::vector<std::uint32_t>& active_block_per_chip_;
-  const std::vector<std::vector<std::uint32_t>>& free_blocks_by_chip_;
   const std::vector<BlockHealth>& block_health_;
-};
-
-// ---------------------------------------------------------------------------
-// Allocation policy: which chip's write frontier takes the next page.
-
-class AllocationPolicy {
- public:
-  virtual ~AllocationPolicy() = default;
-  virtual const char* Name() const = 0;
-
-  /// Chip to allocate the next page from, or nullopt when no chip can
-  /// allocate (device full). Called once per page program — host writes and
-  /// GC relocation share one policy instance, so one frontier cursor.
-  virtual std::optional<std::uint32_t> NextChip(const PolicyView& view) = 0;
-};
-
-/// Round-robin chip striping: consecutive allocations walk the chips so a
-/// burst of writes spreads across every channel/way, the way a real
-/// controller exploits array parallelism. Chips that are full (no room, no
-/// free block) are skipped without losing the cursor's fairness.
-class StripedAllocationPolicy final : public AllocationPolicy {
- public:
-  const char* Name() const override { return "striped"; }
-  std::optional<std::uint32_t> NextChip(const PolicyView& view) override;
-
- private:
-  std::uint32_t next_chip_ = 0;
 };
 
 // ---------------------------------------------------------------------------
@@ -200,56 +148,11 @@ class CostBenefitVictimPolicy final : public VictimPolicy {
   double wear_weight_;
 };
 
-// ---------------------------------------------------------------------------
-// Retention policy: how long displaced versions stay recoverable.
-
-class RetentionPolicy {
- public:
-  virtual ~RetentionPolicy() = default;
-  virtual const char* Name() const = 0;
-
-  /// Backups written at or before this horizon have aged out and are
-  /// released to the GC. The paper's rule: now - retention_window.
-  virtual SimTime ExpiryHorizon(SimTime now) const = 0;
-
-  /// How many of the oldest backups to sacrifice per attempt when GC finds
-  /// nothing reclaimable and the device would otherwise refuse writes.
-  virtual std::uint32_t ForcedReleaseBatch(
-      const nand::Geometry& geometry) const = 0;
-};
-
-/// The paper's window rule: a fixed recoverability window (10 s in the
-/// prototype), with space-pressure sacrifices sized to one erase block so a
-/// forced round can actually make a block reclaimable.
-class WindowRetentionPolicy final : public RetentionPolicy {
- public:
-  explicit WindowRetentionPolicy(SimTime window) : window_(window) {}
-  const char* Name() const override { return "window"; }
-  SimTime ExpiryHorizon(SimTime now) const override { return now - window_; }
-  std::uint32_t ForcedReleaseBatch(
-      const nand::Geometry& geometry) const override {
-    return geometry.pages_per_block;
-  }
-
- private:
-  SimTime window_;
-};
-
-// ---------------------------------------------------------------------------
-// Factories from the config enums.
-
-std::unique_ptr<AllocationPolicy> MakeAllocationPolicy(const FtlConfig& config);
 std::unique_ptr<VictimPolicy> MakeVictimPolicy(const FtlConfig& config);
 
 /// Checks the retention-related parts of a config for combinations that
 /// would silently retain nothing (or contradict each other) instead of
 /// implementing the paper's recovery guarantee.
 RetentionConfigError ValidateRetentionConfig(const FtlConfig& config);
-
-/// Builds the retention policy, or returns nullptr when
-/// ValidateRetentionConfig rejects the config (the error is copied into
-/// `error` when non-null). Existing one-argument callers keep compiling.
-std::unique_ptr<RetentionPolicy> MakeRetentionPolicy(
-    const FtlConfig& config, RetentionConfigError* error = nullptr);
 
 }  // namespace insider::ftl

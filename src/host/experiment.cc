@@ -1,7 +1,6 @@
 #include "host/experiment.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cstring>
 #include <numeric>
 
@@ -517,99 +516,6 @@ InterleavedResult RunInterleavedDetection(const core::DecisionTree& tree,
     result.detection_latency = *result.alarm_time - attack_begin;
   }
   if (config.inspect) config.inspect(ssd);
-  return result;
-}
-
-// ---------------------------------------------------------------------------
-// Selective range recovery
-
-RangeRecoveryResult RunRangeRecovery(const core::DecisionTree& tree,
-                                     const RangeRecoveryConfig& config) {
-  auto table = std::make_shared<version::RangePolicyTable>();
-  const Lba begin = config.protected_begin;
-  const Lba end = begin + config.protected_blocks;
-  bool added = table->Add(
-      {begin, end, config.keep_versions, config.keep_window});
-  assert(added);
-  (void)added;
-
-  SsdConfig scfg;
-  scfg.ftl.geometry = config.geometry;
-  scfg.ftl.range_policies = table;
-  scfg.detector = config.detector;
-  Ssd ssd(scfg, tree);
-
-  RangeRecoveryResult result;
-  result.protected_lbas_total = config.protected_blocks;
-
-  // --- Setup: two generations of known content on the protected range. ---
-  // The first generation is displaced by the second and — once it ages out
-  // of the ring — archived into the version store, so the recovery below
-  // exercises both version substrates. The stamp encodes the generation and
-  // the LBA, making verification self-describing.
-  auto gen_stamp = [](std::uint64_t generation, Lba lba) {
-    return (0xD0C0ull << 48) | (generation << 40) | lba;
-  };
-  SimTime t = Seconds(1);
-  for (std::uint64_t generation = 1; generation <= 2; ++generation) {
-    for (Lba lba = begin; lba < end; ++lba) {
-      nand::PageData data;
-      data.stamp = gen_stamp(generation, lba);
-      ssd.WriteBlockAt(lba, std::move(data), t);
-      t = std::max(t + Microseconds(100), ssd.Clock().Now());
-    }
-  }
-  // Everything at or before this instant is what the rollback must bring
-  // back: the second generation.
-  result.restore_point = ssd.Clock().Now();
-
-  // Idle to the attack: the firmware tick ages generation 1 out of the ring
-  // and into the store (its records now outlive the paper window only
-  // because the range policy says so).
-  ssd.IdleUntil(config.attack_start);
-
-  // --- Attack: ransomware encrypts the protected range. -----------------
-  Rng rng(config.seed ^ 0x5E1EC7133Eull);
-  wl::FileSet::Params fsp;
-  fsp.file_count = config.fileset_files;
-  fsp.region_start = begin;
-  fsp.region_blocks = config.protected_blocks;
-  Rng fs_rng = rng.Fork();
-  wl::FileSet files = wl::FileSet::Generate(fsp, fs_rng);
-
-  wl::RansomwareProfile profile =
-      wl::RansomwareProfileByName(config.ransomware);
-  wl::RansomwareRunParams rp;
-  rp.start_time = config.attack_start;
-  rp.scratch_start = end;  // out-of-place copies land outside the range
-  rp.max_duration = config.attack_max_duration;
-  Rng r_rng = rng.Fork();
-  wl::RansomwareTrace trace = wl::GenerateRansomware(profile, files, rp, r_rng);
-
-  std::uint64_t attack_stamp = 0xEEEE000000000000ull;
-  for (const IoRequest& r : trace.requests) {
-    ftl::FtlStatus attack_status = ssd.Submit(r, attack_stamp);
-    attack_stamp += r.length;
-    if (attack_status == ftl::FtlStatus::kReadOnly || ssd.AlarmActive()) {
-      break;  // read-only latch: the attack is stopped
-    }
-  }
-  result.alarm_time = ssd.FirstAlarmTime();
-  result.alarm = result.alarm_time.has_value();
-  result.store_versions = ssd.Ftl().Store().VersionCount();
-
-  // --- Recover: only the protected range, only if the alarm fired. -------
-  if (result.alarm) {
-    result.report = ssd.RollBackRange(begin, end, result.restore_point);
-  }
-
-  // --- Verify against the shadow: generation 2 everywhere. ---------------
-  for (Lba lba = begin; lba < end; ++lba) {
-    ftl::FtlResult r = ssd.ReadBlockAt(lba, ssd.Clock().Now());
-    if (r.ok() && r.data.stamp == gen_stamp(2, lba)) {
-      ++result.protected_lbas_clean;
-    }
-  }
   return result;
 }
 

@@ -241,53 +241,4 @@ struct InterleavedResult {
 InterleavedResult RunInterleavedDetection(const core::DecisionTree& tree,
                                           const InterleavedConfig& config);
 
-// --------------------------------------------------------------------------
-// Selective range recovery: protect one LBA range with a version policy,
-// let ransomware encrypt it, and on alarm roll only that range back to a
-// pre-attack restore point (src/version) — the rest of the device is
-// untouched. The runner keeps a per-LBA shadow of the expected pre-attack
-// stamps, so the result reports exactly how many protected LBAs came back.
-
-struct RangeRecoveryConfig {
-  nand::Geometry geometry;  ///< defaults to a small 256-MB device
-  core::DetectorConfig detector;
-  /// The protected range and its retention policy.
-  Lba protected_begin = 0;
-  Lba protected_blocks = 512;
-  std::uint32_t keep_versions = 16;
-  SimTime keep_window = Seconds(120);
-  /// Ransomware family encrypting the protected range (workload/ransomware.h).
-  std::string ransomware = "WannaCry";
-  SimTime attack_start = Seconds(20);
-  SimTime attack_max_duration = Seconds(20);
-  std::size_t fileset_files = 120;
-  std::uint64_t seed = 1;
-
-  RangeRecoveryConfig() {
-    geometry.channels = 2;
-    geometry.ways = 2;
-    geometry.blocks_per_chip = 128;
-    geometry.pages_per_block = 64;
-  }
-};
-
-struct RangeRecoveryResult {
-  bool alarm = false;
-  std::optional<SimTime> alarm_time;
-  /// The pre-attack time the protected range was rolled back to.
-  SimTime restore_point = 0;
-  ftl::RangeRollbackReport report;
-  std::size_t protected_lbas_total = 0;
-  /// Protected LBAs whose post-rollback stamp matches the pre-attack shadow.
-  std::size_t protected_lbas_clean = 0;
-  /// Version-store occupancy right before the rollback (archived depth).
-  std::size_t store_versions = 0;
-};
-
-/// Seed the protected range with two generations of known content, age the
-/// older generation into the version store, run the attack through the
-/// detector, and recover the range with Ssd::RollBackRange on alarm.
-RangeRecoveryResult RunRangeRecovery(const core::DecisionTree& tree,
-                                     const RangeRecoveryConfig& config);
-
 }  // namespace insider::host

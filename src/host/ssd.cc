@@ -5,6 +5,22 @@
 #include <utility>
 
 namespace insider::host {
+namespace {
+
+/// Virtual host-side gap inserted between successive blocks of one
+/// request submission (models host submission pacing in FS experiments).
+constexpr SimTime kHostBlockGap = Microseconds(20);
+/// Idle-time GC only takes victims with at most this many live pages;
+/// expensive relocation stays with whoever actually needs the space.
+constexpr std::uint32_t kIdleGcMaxMovable = 8;
+/// Re-run delay of the background-GC task while reclamation is still under
+/// way (models one firmware quantum).
+constexpr SimTime kGcTaskInterval = Microseconds(200);
+/// Period of the housekeeping tick that ages recovery-queue backups out of
+/// the retention window during command gaps.
+constexpr SimTime kFirmwareTick = Milliseconds(500);
+
+}  // namespace
 
 Ssd::Ssd(const SsdConfig& config, core::DecisionTree tree)
     : config_(config), ftl_(config.ftl),
@@ -28,10 +44,10 @@ void Ssd::InstallFirmwareTasks() {
   // gaps too, not only when the next I/O happens to land (every FTL I/O
   // still ages the queue first, so foreground behavior is unchanged).
   if (config_.ftl.delayed_deletion) {
-    scheduler_.Schedule("retention_expiry", config_.firmware_tick,
+    scheduler_.Schedule("retention_expiry", kFirmwareTick,
                         [this](SimTime now) {
                           ftl_.ReleaseExpired(now);
-                          return now + config_.firmware_tick;
+                          return now + kFirmwareTick;
                         });
   }
   // Checkpoint cadence: a crash can only cost replaying the journal since
@@ -88,14 +104,14 @@ void Ssd::MaybeArmBackgroundGc() {
   if (bg_gc_armed_ || !ftl_.BackgroundGcNeeded()) return;
   bg_gc_armed_ = true;
   scheduler_.Schedule(
-      "background_gc", clock_.Now() + config_.gc_task_interval,
+      "background_gc", clock_.Now() + kGcTaskInterval,
       [this](SimTime now) {
         std::size_t reclaimed =
             ftl_.BackgroundCollect(now, config_.gc_task_block_budget);
         if (reclaimed == config_.gc_task_block_budget) {
           // Budget exhausted with the pool still short: keep going next
           // quantum.
-          return now + config_.gc_task_interval;
+          return now + kGcTaskInterval;
         }
         // Reached the high watermark (or nothing is reclaimable without
         // sacrificing backups — that call belongs to the foreground path).
@@ -242,7 +258,7 @@ std::uint64_t Ssd::BlockCount() const { return ftl_.ExportedLbas(); }
 
 bool Ssd::ReadBlock(std::uint64_t lba, std::span<std::byte> out) {
   if (out.size() != fs::kBlockSize) return false;
-  clock_.Advance(config_.host_block_gap);
+  clock_.Advance(kHostBlockGap);
   ftl::FtlResult r = ReadBlockAt(lba, clock_.Now());
   if (r.status == ftl::FtlStatus::kUnmapped) {
     std::memset(out.data(), 0, out.size());  // never-written block reads 0
@@ -259,7 +275,7 @@ bool Ssd::ReadBlock(std::uint64_t lba, std::span<std::byte> out) {
 
 bool Ssd::WriteBlock(std::uint64_t lba, std::span<const std::byte> data) {
   if (data.size() != fs::kBlockSize) return false;
-  clock_.Advance(config_.host_block_gap);
+  clock_.Advance(kHostBlockGap);
   nand::PageData page;
   page.stamp = 0;
   page.bytes.assign(data.begin(), data.end());
@@ -275,7 +291,7 @@ bool Ssd::WriteBlock(std::uint64_t lba, std::span<const std::byte> data) {
 }
 
 bool Ssd::TrimBlock(std::uint64_t lba) {
-  clock_.Advance(config_.host_block_gap);
+  clock_.Advance(kHostBlockGap);
   ftl::FtlResult r = TrimBlockAt(lba, clock_.Now());
   return r.ok() || r.status == ftl::FtlStatus::kUnmapped;
 }
@@ -353,8 +369,7 @@ void Ssd::IdleUntil(SimTime t) {
     // mutes collection) before touching the FTL.
     AdvanceDetector(now);
     ftl_.ReleaseExpired(now);
-    ftl_.IdleCollect(now, config_.gc_task_block_budget,
-                     config_.idle_gc_max_movable);
+    ftl_.IdleCollect(now, config_.gc_task_block_budget, kIdleGcMaxMovable);
     return FirmwareScheduler::kNever;
   });
   DrainFirmware(t);

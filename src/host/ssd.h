@@ -34,9 +34,6 @@ struct SsdConfig {
   /// for the host to confirm (the paper prompts the user; experiments that
   /// model the prompt can disable this and call RollBackNow themselves).
   bool auto_read_only = true;
-  /// Virtual host-side gap inserted between successive blocks of one
-  /// request submission (models host submission pacing in FS experiments).
-  SimTime host_block_gap = Microseconds(20);
 
   // Firmware scheduler budgets --------------------------------------------
 
@@ -44,15 +41,6 @@ struct SsdConfig {
   /// host traffic — the budget of both the watermark background-GC task and
   /// the idle-time sweep (formerly a hardcoded IdleCollect limit).
   std::size_t gc_task_block_budget = 4;
-  /// Idle-time GC only takes victims with at most this many live pages;
-  /// expensive relocation stays with whoever actually needs the space.
-  std::uint32_t idle_gc_max_movable = 8;
-  /// Re-run delay of the background-GC task while reclamation is still
-  /// under way (models one firmware quantum).
-  SimTime gc_task_interval = Microseconds(200);
-  /// Period of the housekeeping tick that ages recovery-queue backups out
-  /// of the retention window during command gaps.
-  SimTime firmware_tick = Milliseconds(500);
 };
 
 class Ssd final : public fs::BlockDevice {

@@ -10,6 +10,12 @@ namespace insider::io {
 
 namespace {
 
+/// Bounded transparent retry for failed reads (uncorrectable ECC can be
+/// transient under soft-decode): a read completion carrying
+/// DeviceStatus::kReadError is re-driven up to this many times before the
+/// error posts to the host.
+constexpr std::uint32_t kMaxReadRetries = 2;
+
 std::vector<std::uint32_t> WeightsOf(const EngineConfig& config) {
   std::vector<std::uint32_t> weights;
   weights.reserve(config.queue_count);
@@ -24,8 +30,7 @@ std::vector<std::uint32_t> WeightsOf(const EngineConfig& config) {
 }  // namespace
 
 IoEngine::IoEngine(DeviceTarget& device, const EngineConfig& config)
-    : device_(device), arbiter_(config.arbiter, WeightsOf(config)),
-      max_read_retries_(config.max_read_retries) {
+    : device_(device), arbiter_(config.arbiter, WeightsOf(config)) {
   assert(config.queue_count > 0);
   assert(config.per_queue.empty() ||
          config.per_queue.size() == config.queue_count);
@@ -169,7 +174,7 @@ bool IoEngine::Step() {
     // command in flight; only the final outcome posts to the host.
     if (!completion.ok && completion.status == DeviceStatus::kReadError &&
         completion.request.mode == IoMode::kRead &&
-        completion.retries < max_read_retries_) {
+        completion.retries < kMaxReadRetries) {
       IoRequest retry = completion.request;
       retry.time = completion.complete_time;
       obs::Tracer::TraceScope scope(tracer_, completion.trace);

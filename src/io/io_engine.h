@@ -52,11 +52,6 @@ struct EngineConfig {
   /// Optional per-queue overrides; if non-empty, size must equal queue_count.
   std::vector<QueueConfig> per_queue;
   ArbiterConfig arbiter;
-  /// Bounded transparent retry for failed reads (uncorrectable ECC can be
-  /// transient under soft-decode). A read completion carrying
-  /// DeviceStatus::kReadError is re-driven up to this many times before the
-  /// error posts to the host. 0 disables retries.
-  std::uint32_t max_read_retries = 2;
   /// Worker threads of the channel-sharded execution runtime. 0 = the serial
   /// reference path (no ShardRuntime is created, no thread ever starts) —
   /// the sharded engine is bit-identical to this reference on stats,
@@ -100,12 +95,6 @@ class IoEngine {
   /// Host side: reap the oldest posted completion of a pair, if any.
   std::optional<Completion> PopCompletion(QueueId q);
 
-  std::size_t PendingSubmissions(QueueId q) const {
-    return pairs_[q].sq().Size();
-  }
-  std::size_t PendingCompletions(QueueId q) const {
-    return pairs_[q].cq().Size();
-  }
   /// Commands dispatched to the device whose completion has not yet posted.
   std::size_t InFlight() const { return in_flight_.size(); }
 
@@ -170,7 +159,6 @@ class IoEngine {
   SimTime clock_ = 0;
   EngineStats stats_;
   CommandId next_id_ = 1;
-  std::uint32_t max_read_retries_ = 0;
   std::unique_ptr<ShardRuntime> shards_;
 
   version::RangeLockTable* locks_ = nullptr;

@@ -345,7 +345,6 @@ class FlakyReadDevice final : public io::DeviceTarget {
 TEST(IoEngineFaultTest, TransientReadErrorRetriedTransparently) {
   FlakyReadDevice dev(1);  // first read fails once
   io::EngineConfig cfg;
-  cfg.max_read_retries = 2;
   io::IoEngine engine(dev, cfg);
 
   ASSERT_TRUE(engine.TrySubmit(0, {1000, 5, 1, IoMode::kRead}));
@@ -366,7 +365,6 @@ TEST(IoEngineFaultTest, TransientReadErrorRetriedTransparently) {
 TEST(IoEngineFaultTest, PersistentReadErrorPostsAfterBoundedRetries) {
   FlakyReadDevice dev(100);  // never recovers
   io::EngineConfig cfg;
-  cfg.max_read_retries = 2;
   io::IoEngine engine(dev, cfg);
 
   ASSERT_TRUE(engine.TrySubmit(0, {1000, 5, 1, IoMode::kRead}));
@@ -397,7 +395,6 @@ TEST(IoEngineFaultTest, WriteErrorsAreNeverRetried) {
   } write_dev;
 
   io::EngineConfig cfg;
-  cfg.max_read_retries = 2;
   io::IoEngine engine(write_dev, cfg);
   ASSERT_TRUE(engine.TrySubmit(0, {1000, 5, 1, IoMode::kWrite}));
   engine.Drain();

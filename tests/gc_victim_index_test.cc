@@ -239,10 +239,9 @@ TEST(VictimIndexTest, CostBenefitTieGoesToLowestIdWhateverTheHeapOrder) {
 
   const std::vector<std::uint32_t> no_active(geo.TotalChips(),
                                              PolicyView::kNoActiveBlockId);
-  const std::vector<std::vector<std::uint32_t>> no_free(geo.TotalChips());
   const std::vector<BlockHealth> healthy(geo.TotalBlocks(),
                                          BlockHealth::kHealthy);
-  const PolicyView view(geo, nand, counters, no_active, no_free, healthy);
+  const PolicyView view(geo, nand, counters, no_active, healthy);
   CostBenefitVictimPolicy policy(/*wear_weight=*/4.0);
   EXPECT_EQ(ScanCostBenefit(view, 7, 4.0), 3u);
   EXPECT_EQ(policy.SelectVictim(view, 7), 3u);

@@ -1,8 +1,9 @@
-// Typed validation of the retention configuration (MakeRetentionPolicy /
-// ValidateRetentionConfig) and of the per-range policy table: a config that
-// would silently retain nothing must be rejected with a diagnosable error,
-// and a device handed such a config must fall back to the paper's window
-// policy instead of running unprotected.
+// Typed validation of the retention configuration (ValidateRetentionConfig /
+// PageFtl::RetentionConfigStatus) and of the per-range policy table: a
+// config that would silently retain nothing must be rejected with a
+// diagnosable error, and a device handed such a config must fall back to
+// the paper's 10 s window — for expiry and rollback alike — instead of
+// running unprotected.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -22,28 +23,34 @@ FtlConfig BaseConfig() {
   return cfg;
 }
 
+// The validator and a device built from the config report the same issue.
+void ExpectRejected(const FtlConfig& cfg, RetentionConfigIssue issue) {
+  RetentionConfigError e = ValidateRetentionConfig(cfg);
+  EXPECT_EQ(e.issue, issue);
+  EXPECT_FALSE(e.detail.empty());
+  PageFtl ftl(cfg);
+  EXPECT_EQ(ftl.RetentionConfigStatus().issue, issue);
+  EXPECT_EQ(ftl.RetentionConfigStatus().detail, e.detail);
+}
+
 TEST(RetentionConfigTest, DefaultConfigIsValid) {
   RetentionConfigError e = ValidateRetentionConfig(BaseConfig());
   EXPECT_TRUE(e.ok());
   EXPECT_EQ(e.issue, RetentionConfigIssue::kNone);
-  EXPECT_NE(MakeRetentionPolicy(BaseConfig()), nullptr);
+  PageFtl ftl(BaseConfig());
+  EXPECT_TRUE(ftl.RetentionConfigStatus().ok());
 }
 
 TEST(RetentionConfigTest, NegativeWindowRejected) {
   FtlConfig cfg = BaseConfig();
   cfg.retention_window = -Seconds(1);
-  RetentionConfigError e;
-  EXPECT_EQ(MakeRetentionPolicy(cfg, &e), nullptr);
-  EXPECT_EQ(e.issue, RetentionConfigIssue::kNegativeWindow);
-  EXPECT_FALSE(e.detail.empty());
+  ExpectRejected(cfg, RetentionConfigIssue::kNegativeWindow);
 }
 
 TEST(RetentionConfigTest, ZeroWindowWithDelayedDeletionIsNoOp) {
   FtlConfig cfg = BaseConfig();
   cfg.retention_window = 0;
-  RetentionConfigError e;
-  EXPECT_EQ(MakeRetentionPolicy(cfg, &e), nullptr);
-  EXPECT_EQ(e.issue, RetentionConfigIssue::kNoOpRetention);
+  ExpectRejected(cfg, RetentionConfigIssue::kNoOpRetention);
 }
 
 TEST(RetentionConfigTest, ZeroWindowAllowedInConventionalMode) {
@@ -59,9 +66,7 @@ TEST(RetentionConfigTest, RangePoliciesRequireDelayedDeletion) {
   auto table = std::make_shared<version::RangePolicyTable>();
   ASSERT_TRUE(table->Add({0, 64, 4, Seconds(60)}));
   cfg.range_policies = table;
-  RetentionConfigError e;
-  EXPECT_EQ(MakeRetentionPolicy(cfg, &e), nullptr);
-  EXPECT_EQ(e.issue, RetentionConfigIssue::kInvalidRangePolicy);
+  ExpectRejected(cfg, RetentionConfigIssue::kInvalidRangePolicy);
 }
 
 TEST(RetentionConfigTest, EmptyRangeTableIsValid) {
@@ -81,8 +86,8 @@ TEST(RetentionConfigTest, IssueNamesAreStable) {
 }
 
 // A device built from a rejected config must not come up half-protected: it
-// records the error, falls back to the paper window, and keeps serving I/O
-// with the version store disabled.
+// records the error, falls back to the paper's 10 s window, and keeps
+// serving I/O with the version store disabled.
 TEST(RetentionConfigTest, FtlFallsBackToWindowPolicyOnBadConfig) {
   FtlConfig cfg = BaseConfig();
   cfg.retention_window = -Seconds(1);
@@ -97,6 +102,27 @@ TEST(RetentionConfigTest, FtlFallsBackToWindowPolicyOnBadConfig) {
   EXPECT_TRUE(ftl.WritePage(0, {1, {}}, Seconds(1)).ok());
   EXPECT_TRUE(ftl.WritePage(0, {2, {}}, Seconds(2)).ok());
   EXPECT_EQ(ftl.ReadPage(0, Seconds(2)).data.stamp, 2u);
+  EXPECT_EQ(ftl.CheckInvariants(), "");
+  // The v1 backup was displaced at 2 s: it stays queued for exactly 10 s.
+  ftl.ReleaseExpired(Seconds(12) - Microseconds(1));
+  EXPECT_EQ(ftl.RecoveryQueueSize(), 1u);
+  ftl.ReleaseExpired(Seconds(12));
+  EXPECT_EQ(ftl.RecoveryQueueSize(), 0u);
+  EXPECT_EQ(ftl.CheckInvariants(), "");
+}
+
+// Rollback measures against the same fallback window as expiry: the
+// horizon is 3 s - 10 s, so the 2 s overwrite is undone.
+TEST(RetentionConfigTest, RollBackUsesTheFallbackWindow) {
+  FtlConfig cfg = BaseConfig();
+  cfg.retention_window = -Seconds(1);
+  PageFtl ftl(cfg);
+  ASSERT_TRUE(ftl.WritePage(0, {1, {}}, Seconds(1)).ok());
+  ASSERT_TRUE(ftl.WritePage(0, {2, {}}, Seconds(2)).ok());
+  ftl.SetReadOnly(true);
+  RollbackReport report = ftl.RollBack(Seconds(3));
+  EXPECT_EQ(report.entries_reverted, 1u);
+  EXPECT_EQ(ftl.ReadPage(0, Seconds(3)).data.stamp, 1u);
   EXPECT_EQ(ftl.CheckInvariants(), "");
 }
 
