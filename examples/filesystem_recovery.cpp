@@ -33,7 +33,7 @@ int main() {
   // attack runs for several seconds (the detector needs 3 positive 1-s
   // slices before the score crosses the threshold).
   Rng rng(99);
-  fsys.Mkdir("/docs");
+  if (fsys.Mkdir("/docs") != fs::FsStatus::kOk) return 1;
   struct Doc {
     std::string path;
     std::vector<std::byte> content;
@@ -44,7 +44,7 @@ int main() {
     d.path = "/docs/report" + std::to_string(i) + ".txt";
     d.content.resize(64 * 1024 + rng.Below(128 * 1024));
     for (auto& b : d.content) b = static_cast<std::byte>(rng.Below(256));
-    fsys.CreateFile(d.path);
+    if (fsys.CreateFile(d.path) != fs::FsStatus::kOk) return 1;
     if (fsys.WriteFile(d.path, 0, d.content) != fs::FsStatus::kOk) return 1;
     docs.push_back(std::move(d));
   }

@@ -50,6 +50,13 @@ struct CountingEntry {
   static constexpr std::size_t PackedBytes() { return 12; }
 };
 
+/// Modeled DRAM of one hash-index key at this implementation's sizes (the
+/// Table III "Hash table" row): key + value + ~2 pointers of bucket
+/// overhead, a fair model for a closed-addressing table. The detector
+/// pool's budget and host::ActualDramBudget both price keys with it.
+inline constexpr std::size_t kHashKeyBytes =
+    sizeof(Lba) + sizeof(std::uint64_t) + 2 * sizeof(void*);
+
 /// Counters accumulated over one time slice and consumed by the feature
 /// extractor at the slice boundary.
 struct SliceCounters {

@@ -26,9 +26,7 @@ std::size_t PricedHistoryRecords(const DetectorConfig& config) {
 std::size_t EstimateDetectorBytes(const DetectorConfig& config) {
   // The Table III shapes at this implementation's structure sizes — the
   // same per-structure model host::ActualDramBudget prices for the bench.
-  const std::size_t hash_entry =
-      sizeof(Lba) + sizeof(std::uint64_t) + 2 * sizeof(void*);
-  std::size_t bytes = hash_entry * config.table.max_hash_keys;
+  std::size_t bytes = kHashKeyBytes * config.table.max_hash_keys;
   bytes += sizeof(CountingEntry) * config.table.max_entries;
   // Sliding-window state: one vote bit and one OWIO value per window slice.
   bytes += (sizeof(bool) + sizeof(std::uint64_t)) * config.window_slices;
@@ -142,9 +140,9 @@ void DetectorPool::EnforceBudget(NamespaceId creating) {
     for (auto& [ns, instance] : instances_) {
       const DetectorConfig& c = instance->detector->Config();
       bool shrinkable =
-          PricedHistoryRecords(c) > config_.min_history_limit ||
-          c.table.max_entries > config_.min_table_entries ||
-          c.table.max_hash_keys > config_.min_hash_keys;
+          PricedHistoryRecords(c) > kMinHistoryLimit ||
+          c.table.max_entries > kMinTableEntries ||
+          c.table.max_hash_keys > kMinHashKeys;
       if (!shrinkable) continue;
       std::size_t bytes = EstimateDetectorBytes(c);
       if (victim == nullptr || bytes > victim_bytes) {
@@ -159,14 +157,14 @@ void DetectorPool::EnforceBudget(NamespaceId creating) {
       Detector& d = *victim->detector;
       const DetectorConfig& c = d.Config();
       std::size_t history = PricedHistoryRecords(c);
-      if (history > config_.min_history_limit) {
-        d.SetHistoryLimit(std::max(history / 2, config_.min_history_limit));
+      if (history > kMinHistoryLimit) {
+        d.SetHistoryLimit(std::max(history / 2, kMinHistoryLimit));
         pressure_.events.push_back({PoolPressureAction::kShrinkHistory,
                                     victim_ns, before, EstimatedBytes()});
       } else {
         d.ShrinkTableTo(
-            std::max(c.table.max_entries / 2, config_.min_table_entries),
-            std::max(c.table.max_hash_keys / 2, config_.min_hash_keys));
+            std::max(c.table.max_entries / 2, kMinTableEntries),
+            std::max(c.table.max_hash_keys / 2, kMinHashKeys));
         pressure_.events.push_back({PoolPressureAction::kShrinkTable,
                                     victim_ns, before, EstimatedBytes()});
       }
@@ -176,25 +174,23 @@ void DetectorPool::EnforceBudget(NamespaceId creating) {
 
     // Every instance is at its floors: evict the least-recently-active
     // unpinned instance (never namespace 0, never the one being admitted).
-    if (config_.evict_under_pressure) {
-      auto evict_it = instances_.end();
-      std::uint64_t oldest = std::numeric_limits<std::uint64_t>::max();
-      for (auto it = instances_.begin(); it != instances_.end(); ++it) {
-        if (it->first == 0 || it->first == creating) continue;
-        if (it->second->last_active < oldest) {
-          oldest = it->second->last_active;
-          evict_it = it;
-        }
+    auto evict_it = instances_.end();
+    std::uint64_t oldest = std::numeric_limits<std::uint64_t>::max();
+    for (auto it = instances_.begin(); it != instances_.end(); ++it) {
+      if (it->first == 0 || it->first == creating) continue;
+      if (it->second->last_active < oldest) {
+        oldest = it->second->last_active;
+        evict_it = it;
       }
-      if (evict_it != instances_.end()) {
-        NamespaceId ns = evict_it->first;
-        instances_.erase(evict_it);
-        ++pressure_.evictions;
-        ++epoch_;
-        pressure_.events.push_back({PoolPressureAction::kEvictInstance, ns,
-                                    before, EstimatedBytes()});
-        continue;
-      }
+    }
+    if (evict_it != instances_.end()) {
+      NamespaceId ns = evict_it->first;
+      instances_.erase(evict_it);
+      ++pressure_.evictions;
+      ++epoch_;
+      pressure_.events.push_back({PoolPressureAction::kEvictInstance, ns,
+                                  before, EstimatedBytes()});
+      continue;
     }
 
     // Floors everywhere and nothing evictable: fail open, loudly.

@@ -46,12 +46,6 @@ struct DetectorPoolConfig {
   /// Modeled-DRAM ceiling over all instances (Table III cost model).
   /// 0 = unbudgeted.
   std::size_t dram_budget_bytes = 0;
-  /// Degradation floors: pressure never shrinks an instance below these.
-  std::size_t min_history_limit = 64;
-  std::size_t min_table_entries = 64;
-  std::size_t min_hash_keys = 1024;
-  /// Allow step 3 (evicting idle unpinned instances) under pressure.
-  bool evict_under_pressure = true;
 };
 
 /// Modeled DRAM of one detector instance at the given capacities — the
@@ -91,6 +85,11 @@ struct PoolPressureReport {
 
 class DetectorPool {
  public:
+  /// Degradation floors: pressure never shrinks an instance below these.
+  static constexpr std::size_t kMinHistoryLimit = 64;
+  static constexpr std::size_t kMinTableEntries = 64;
+  static constexpr std::size_t kMinHashKeys = 1024;
+
   DetectorPool(const DetectorConfig& detector_template,
                const DetectorPoolConfig& config, DecisionTree tree);
 

@@ -26,7 +26,7 @@
 
 namespace insider::fs {
 
-enum class FsStatus {
+enum class [[nodiscard]] FsStatus {
   kOk,
   kNotFound,
   kExists,

@@ -134,6 +134,28 @@ void Ssd::Observe(const IoRequest& request) {
   PublishPoolMetrics();
 }
 
+ftl::FtlResult Ssd::ExecuteBlock(const IoRequest& request, std::uint32_t i,
+                                 std::uint64_t stamp_base, SimTime now) {
+  switch (request.mode) {
+    case IoMode::kRead:
+      return ftl_.ReadPage(request.lba + i, now);
+    case IoMode::kWrite: {
+      nand::PageData data;
+      data.stamp = stamp_base + i;
+      return ftl_.WritePage(request.lba + i, std::move(data), now);
+    }
+    case IoMode::kTrim:
+      return ftl_.TrimPage(request.lba + i, now);
+    case IoMode::kRangeLock:
+    case IoMode::kRangeUnlock:
+      // Lock admin commands are enforced at the multi-queue frontend
+      // (io::IoEngine); a device submitted to directly has no lock table,
+      // so they complete as no-ops.
+      break;
+  }
+  return {ftl::FtlStatus::kOk, now, {}};
+}
+
 ftl::FtlStatus Ssd::Submit(const IoRequest& request, std::uint64_t stamp_base) {
   // Clamp stale submissions to the monotone device clock (see ssd.h): the
   // detector and FTL both see the clamped time.
@@ -143,28 +165,8 @@ ftl::FtlStatus Ssd::Submit(const IoRequest& request, std::uint64_t stamp_base) {
   Observe(effective);
   SimTime now = effective.time;
   for (std::uint32_t i = 0; i < request.length; ++i) {
-    ftl::FtlResult r;
-    switch (request.mode) {
-      case IoMode::kRead:
-        r = ftl_.ReadPage(request.lba + i, now);
-        break;
-      case IoMode::kWrite: {
-        nand::PageData data;
-        data.stamp = stamp_base + i;
-        r = ftl_.WritePage(request.lba + i, std::move(data), now);
-        break;
-      }
-      case IoMode::kTrim:
-        r = ftl_.TrimPage(request.lba + i, now);
-        break;
-      case IoMode::kRangeLock:
-      case IoMode::kRangeUnlock:
-        // Lock admin commands are enforced at the multi-queue frontend
-        // (io::IoEngine); a device submitted to directly has no lock table,
-        // so they complete as no-ops.
-        r = {ftl::FtlStatus::kOk, now, {}};
-        break;
-    }
+    // Each block issues when the previous one finished.
+    ftl::FtlResult r = ExecuteBlock(request, i, stamp_base, now);
     if (!r.ok()) {
       // kUnmapped reads/trims are normal for never-written LBAs in replayed
       // traces; anything else ends the submission.
@@ -198,26 +200,8 @@ Ssd::SubmitOutcome Ssd::ExecuteAsync(const IoRequest& request,
   SubmitOutcome outcome;
   outcome.complete_time = now;
   for (std::uint32_t i = 0; i < request.length; ++i) {
-    ftl::FtlResult r;
-    switch (request.mode) {
-      case IoMode::kRead:
-        r = ftl_.ReadPage(request.lba + i, now);
-        break;
-      case IoMode::kWrite: {
-        nand::PageData data;
-        data.stamp = stamp_base + i;
-        r = ftl_.WritePage(request.lba + i, std::move(data), now);
-        break;
-      }
-      case IoMode::kTrim:
-        r = ftl_.TrimPage(request.lba + i, now);
-        break;
-      case IoMode::kRangeLock:
-      case IoMode::kRangeUnlock:
-        // See Submit(): enforced at the frontend, no-op at the device.
-        r = {ftl::FtlStatus::kOk, now, {}};
-        break;
-    }
+    // Every block issues at the request time; the chips serialize them.
+    ftl::FtlResult r = ExecuteBlock(request, i, stamp_base, now);
     if (!r.ok()) {
       if (r.status != ftl::FtlStatus::kUnmapped) {
         outcome.status = r.status;

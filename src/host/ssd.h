@@ -181,6 +181,11 @@ class Ssd final : public fs::BlockDevice {
   void Observe(const IoRequest& request);
   SubmitOutcome ExecuteAsync(const IoRequest& request,
                              std::uint64_t stamp_base, bool observe);
+  /// Block `i` of `request` issued to the FTL at `now` (payload stamp
+  /// `stamp_base + i`). Submit() and ExecuteAsync() differ only in when
+  /// they issue each block.
+  ftl::FtlResult ExecuteBlock(const IoRequest& request, std::uint32_t i,
+                              std::uint64_t stamp_base, SimTime now);
   void InstallFirmwareTasks();
   /// Close detector slices up to `now` on every instance, propagating alarm
   /// transitions exactly like Observe() does for request-driven closes.

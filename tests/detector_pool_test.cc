@@ -34,12 +34,11 @@ DetectorConfig SmallTemplate() {
 
 /// The capacities every instance bottoms out at under maximal shrink
 /// pressure, priced with the same cost model the pool budgets with.
-std::size_t FloorBytes(const DetectorConfig& tmpl,
-                       const DetectorPoolConfig& pcfg) {
+std::size_t FloorBytes(const DetectorConfig& tmpl) {
   DetectorConfig floor = tmpl;
-  floor.history_limit = pcfg.min_history_limit;
-  floor.table.max_entries = pcfg.min_table_entries;
-  floor.table.max_hash_keys = pcfg.min_hash_keys;
+  floor.history_limit = DetectorPool::kMinHistoryLimit;
+  floor.table.max_entries = DetectorPool::kMinTableEntries;
+  floor.table.max_hash_keys = DetectorPool::kMinHashKeys;
   return EstimateDetectorBytes(floor);
 }
 
@@ -147,9 +146,9 @@ TEST(DetectorPoolTest, BudgetShrinksHistoryBeforeTables) {
   bool shrunk = false;
   pool.ForEach([&](NamespaceId, const Detector& d) {
     if (d.Config().history_limit < tmpl.history_limit) shrunk = true;
-    EXPECT_GE(d.Config().history_limit, pcfg.min_history_limit);
-    EXPECT_GE(d.Config().table.max_entries, pcfg.min_table_entries);
-    EXPECT_GE(d.Config().table.max_hash_keys, pcfg.min_hash_keys);
+    EXPECT_GE(d.Config().history_limit, DetectorPool::kMinHistoryLimit);
+    EXPECT_GE(d.Config().table.max_entries, DetectorPool::kMinTableEntries);
+    EXPECT_GE(d.Config().table.max_hash_keys, DetectorPool::kMinHashKeys);
   });
   EXPECT_TRUE(shrunk);
   // Every event's byte deltas are coherent: shrinks reduce the total.
@@ -164,7 +163,7 @@ TEST(DetectorPoolTest, EvictsLeastRecentlyActiveUnpinnedInstance) {
   DetectorPoolConfig pcfg;
   pcfg.per_namespace = true;
   // Room for exactly three floor-size instances (pinned 0 + two tenants).
-  pcfg.dram_budget_bytes = 3 * FloorBytes(tmpl, pcfg);
+  pcfg.dram_budget_bytes = 3 * FloorBytes(tmpl);
   DetectorPool pool(tmpl, pcfg, OwioTree());
 
   pool.ForNamespace(1);
@@ -189,9 +188,8 @@ TEST(DetectorPoolTest, AdmitsOverBudgetLoudlyWhenNothingEvictable) {
   DetectorConfig tmpl = SmallTemplate();
   DetectorPoolConfig pcfg;
   pcfg.per_namespace = true;
-  pcfg.evict_under_pressure = false;
   // Even one floor-size instance busts this budget.
-  pcfg.dram_budget_bytes = FloorBytes(tmpl, pcfg) / 2;
+  pcfg.dram_budget_bytes = FloorBytes(tmpl) / 2;
   DetectorPool pool(tmpl, pcfg, OwioTree());
 
   // Fails open: the pinned instance exists and detection still runs...

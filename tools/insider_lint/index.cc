@@ -85,7 +85,6 @@ std::size_t BodyBraceAfterInitList(const std::vector<Token>& tokens,
 
 struct Declarator {
   bool valid = false;
-  std::size_t name_index = 0;   ///< the function-name token
   std::size_t body_begin = 0;   ///< '{' index, 0 when declaration only
   std::size_t body_end = 0;
   std::size_t resume = 0;       ///< where the scanner continues
@@ -97,7 +96,6 @@ struct Declarator {
 Declarator ClassifyDeclarator(const std::vector<Token>& tokens,
                               std::size_t i, std::size_t open_paren) {
   Declarator d;
-  d.name_index = i;
 
   // Walk back over a qualified-name chain A::B::name to its first token.
   std::size_t chain_start = i;
@@ -199,134 +197,6 @@ Declarator ClassifyDeclarator(const std::vector<Token>& tokens,
   return d;
 }
 
-/// Tokens of the declaration before the (possibly qualified) name: from the
-/// previous boundary (';' '{' '}' ':' or file start) up to the name chain.
-std::vector<std::string> ReturnTokens(const std::vector<Token>& tokens,
-                                      std::size_t name_index) {
-  // Re-walk the qualification chain like ClassifyDeclarator did.
-  std::size_t chain_start = name_index;
-  while (true) {
-    std::size_t p = PrevCode(tokens, chain_start);
-    if (p == tokens.size() || !IsPunct(tokens[p], "::")) break;
-    std::size_t q = PrevCode(tokens, p);
-    if (q == tokens.size() || tokens[q].kind != TokKind::kIdentifier) break;
-    chain_start = q;
-  }
-  std::vector<std::string> out;
-  std::size_t i = chain_start;
-  while (i > 0) {
-    std::size_t p = PrevCode(tokens, i);
-    if (p == tokens.size()) break;
-    const Token& t = tokens[p];
-    if (IsPunct(t, ";") || IsPunct(t, "{") || IsPunct(t, "}") ||
-        IsPunct(t, "#") ||
-        (IsPunct(t, ":") &&
-         !(p > 0 && IsPunct(tokens[PrevCode(tokens, p)], ":")))) {
-      break;
-    }
-    out.push_back(t.text);
-    i = p;
-  }
-  return out;
-}
-
-/// Scan one function body for expression statements that are pure call
-/// chains (`Foo(a);`, `obj_.Foo(a).Bar();`): the shape where a returned
-/// status can vanish. Returns the callee of the chain's last call.
-void CollectDiscardCandidates(const std::vector<Token>& tokens,
-                              std::size_t body_begin, std::size_t body_end,
-                              std::vector<CallStatement>& out) {
-  std::size_t i = NextCode(tokens, body_begin + 1);
-  bool at_statement_start = true;
-  while (i < body_end) {
-    const Token& t = tokens[i];
-    if (IsComment(t)) {
-      i = NextCode(tokens, i + 1);
-      continue;
-    }
-    if (!at_statement_start) {
-      if (IsPunct(t, ";") || IsPunct(t, "{") || IsPunct(t, "}")) {
-        at_statement_start = true;
-      }
-      ++i;
-      continue;
-    }
-    // Control-flow headers guard a fresh statement: step over the
-    // parenthesized condition so `if (x) Foo();` still scans Foo().
-    if (t.kind == TokKind::kIdentifier &&
-        (t.text == "if" || t.text == "while" || t.text == "for" ||
-         t.text == "switch" || t.text == "catch")) {
-      std::size_t open = NextCode(tokens, i + 1);
-      if (open < body_end && IsPunct(tokens[open], "(")) {
-        std::size_t close = MatchingClose(tokens, open);
-        i = close < body_end ? NextCode(tokens, close + 1) : body_end;
-        at_statement_start = true;
-        continue;
-      }
-    }
-    if (t.kind == TokKind::kIdentifier &&
-        (t.text == "else" || t.text == "do" || t.text == "try")) {
-      i = NextCode(tokens, i + 1);
-      at_statement_start = true;
-      continue;
-    }
-    if (t.kind == TokKind::kIdentifier &&
-        (t.text == "case" || t.text == "default")) {
-      while (i < body_end && !IsPunct(tokens[i], ":")) {
-        i = NextCode(tokens, i + 1);
-      }
-      i = NextCode(tokens, i + 1);
-      at_statement_start = true;
-      continue;
-    }
-    // At a statement start: try to match a pure call-chain statement.
-    if (t.kind != TokKind::kIdentifier ||
-        StatementKeywords().count(t.text) != 0) {
-      at_statement_start = IsPunct(t, ";") || IsPunct(t, "{") ||
-                           IsPunct(t, "}");
-      ++i;
-      continue;
-    }
-    std::size_t j = i;
-    std::string last_callee;
-    std::size_t callee_line = 0, callee_col = 0;
-    bool matched = false;
-    while (j < body_end) {
-      const Token& seg = tokens[j];
-      if (seg.kind != TokKind::kIdentifier) break;
-      std::size_t nxt = NextCode(tokens, j + 1);
-      if (nxt < body_end && IsPunct(tokens[nxt], "(")) {
-        std::size_t close = MatchingClose(tokens, nxt);
-        if (close >= body_end) break;
-        last_callee = seg.text;
-        callee_line = seg.line;
-        callee_col = seg.col;
-        nxt = NextCode(tokens, close + 1);
-      }
-      if (nxt >= body_end) break;
-      if (IsPunct(tokens[nxt], ";")) {
-        matched = !last_callee.empty();
-        j = nxt;
-        break;
-      }
-      if (IsPunct(tokens[nxt], ".") || IsPunct(tokens[nxt], "->") ||
-          IsPunct(tokens[nxt], "::")) {
-        j = NextCode(tokens, nxt + 1);
-        continue;
-      }
-      break;
-    }
-    if (matched) {
-      out.push_back({last_callee, callee_line, callee_col});
-      i = j + 1;
-      at_statement_start = true;
-      continue;
-    }
-    at_statement_start = false;
-    ++i;
-  }
-}
-
 }  // namespace
 
 TuIndex BuildIndex(const std::string& content) {
@@ -363,18 +233,11 @@ TuIndex BuildIndex(const std::string& content) {
         Declarator d = ClassifyDeclarator(tokens, i, nxt);
         if (d.valid) {
           FunctionInfo fn;
-          fn.name = t.text;
-          fn.return_tokens = ReturnTokens(tokens, i);
-          fn.line = t.line;
           fn.param_begin = nxt;
           fn.param_end = MatchingClose(tokens, nxt);
           fn.body_begin = d.body_begin;
           fn.body_end = d.body_end;
           index.functions.push_back(fn);
-          if (fn.body_end != 0) {
-            CollectDiscardCandidates(tokens, fn.body_begin, fn.body_end,
-                                     index.discard_candidates);
-          }
           i = d.resume;
           continue;
         }

@@ -5,16 +5,11 @@
 //
 //   - include edges (spelling + line + quoted/angled), feeding both the
 //     include-cycle DFS and the layer-dag architecture check;
-//   - declared/defined functions with their return-type token spellings,
-//     so `discarded-status` can answer "does Submit() return FtlStatus?"
-//     across files without a real C++ frontend;
-//   - brace-matched function bodies (token ranges), the scope unit for
-//     `lane-sync` (drain-before-raw-read inside one body) and
-//     `journal-hook` v2 (MutationAudit/JournalBatchScope in one scope);
-//   - expression-statement calls — `Foo(x);` / `obj.Foo(x);` where the
-//     whole statement is the call chain — which are exactly the sites
-//     where a returned status can be silently dropped. `(void)Foo();`
-//     deliberately does not match: the cast is the sanctioned discard.
+//   - function declarators with their parameter lists and brace-matched
+//     bodies (token ranges), the scope unit for `lane-sync`
+//     (drain-before-raw-read inside one body), `journal-hook`
+//     (MutationAudit/JournalBatchScope in one scope) and `simtime-cast`
+//     (names declared SimTime in the enclosing function).
 //
 // Everything here is heuristic token-pattern matching, tuned to this
 // repository's idiom and pinned by the clean-tree gate: if the heuristics
@@ -36,12 +31,6 @@ struct IncludeEdge {
 };
 
 struct FunctionInfo {
-  std::string name;  ///< unqualified: "RebuildFromNand"
-  /// Tokens of the declaration between the previous boundary and the name
-  /// (qualifiers stripped of the A::B:: chain). The status classifier only
-  /// asks membership questions of this list.
-  std::vector<std::string> return_tokens;
-  std::size_t line = 0;
   /// Token indices of the parameter-list parens in TuIndex::tokens.
   std::size_t param_begin = 0;
   std::size_t param_end = 0;
@@ -51,17 +40,10 @@ struct FunctionInfo {
   std::size_t body_end = 0;
 };
 
-struct CallStatement {
-  std::string callee;  ///< last called name in the statement's chain
-  std::size_t line = 0;
-  std::size_t col = 0;
-};
-
 struct TuIndex {
-  std::vector<Token> tokens;  ///< comments included (suppression scanner)
+  std::vector<Token> tokens;  ///< comments included
   std::vector<IncludeEdge> includes;
   std::vector<FunctionInfo> functions;
-  std::vector<CallStatement> discard_candidates;
 };
 
 TuIndex BuildIndex(const std::string& content);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdint>
 #include <fstream>
 #include <functional>
 #include <sstream>
@@ -83,152 +82,18 @@ bool NameLooksLikeTimestamp(const std::string& raw_name) {
          Contains(n, "horizon") || Contains(n, "timestamp");
 }
 
-std::vector<std::string> SplitLines(const std::string& content) {
-  std::vector<std::string> lines;
-  std::string cur;
-  for (char c : content) {
-    if (c == '\n') {
-      lines.push_back(cur);
-      cur.clear();
-    } else {
-      cur.push_back(c);
-    }
-  }
-  if (!cur.empty()) lines.push_back(cur);
-  return lines;
-}
-
-std::string Squeeze(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (!std::isspace(static_cast<unsigned char>(c))) out.push_back(c);
-  }
-  return out;
-}
-
-std::uint64_t Fnv1a64(const std::string& s) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-std::string Hex64(std::uint64_t v) {
-  static const char* kDigits = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    out[static_cast<std::size_t>(i)] = kDigits[v & 0xF];
-    v >>= 4;
-  }
-  return out;
-}
-
-/// Stable fingerprints: FNV-1a over rule | path | the whitespace-squeezed
-/// scrubbed source line (or the message for whole-file findings) | an
-/// ordinal among identical anchors, so a finding survives unrelated edits
-/// that merely renumber lines. Call on the final, sorted finding list.
-void AssignFingerprints(std::vector<Finding>& findings,
-                        const std::vector<std::string>* scrubbed_lines) {
-  std::map<std::string, int> ordinals;
-  for (Finding& f : findings) {
-    std::string anchor;
-    if (f.line != 0 && scrubbed_lines != nullptr &&
-        f.line <= scrubbed_lines->size()) {
-      anchor = Squeeze((*scrubbed_lines)[f.line - 1]);
-    } else {
-      anchor = f.message;
-    }
-    const std::string key = f.rule + "|" + f.file + "|" + anchor;
-    const int ordinal = ordinals[key]++;
-    f.fingerprint = Hex64(Fnv1a64(key + "|" + std::to_string(ordinal)));
-  }
-}
-
 // ---------------------------------------------------------------------------
-// Suppressions: `// insider-lint: allow(rule)` or `allow(r1, r2): reason`.
-// A suppression covers its comment's own line(s); a comment that opens its
-// line also covers the line after the comment ends.
-// ---------------------------------------------------------------------------
-
-struct Suppression {
-  std::string rule;
-  std::size_t line = 0;  ///< comment start line (reported for unused)
-  std::size_t col = 0;
-  std::size_t first_covered = 0;  ///< comment start line
-  std::size_t last_covered = 0;   ///< comment end line, +1 if line-opening
-  bool used = false;
-};
-
-std::vector<Suppression> FindSuppressions(const std::vector<Token>& tokens) {
-  // A comment "opens its line" when no token starts earlier on that line.
-  std::set<std::size_t> seen_lines;
-  std::vector<Suppression> sups;
-  for (const Token& t : tokens) {
-    const bool opens_line = seen_lines.insert(t.line).second;
-    if (!IsComment(t)) continue;
-    // The directive must open the comment (after the marker): a comment
-    // that merely *mentions* the syntax mid-sentence — like this engine's
-    // own documentation — is not a suppression.
-    std::size_t pos = 0;
-    while (pos < t.text.size() &&
-           (t.text[pos] == '/' || t.text[pos] == '*' ||
-            std::isspace(static_cast<unsigned char>(t.text[pos])))) {
-      ++pos;
-    }
-    if (t.text.compare(pos, 13, "insider-lint:") != 0) continue;
-    pos += 13;
-    std::size_t allow = t.text.find("allow", pos);
-    if (allow == std::string::npos) continue;
-    std::size_t open = t.text.find('(', allow);
-    std::size_t close =
-        open == std::string::npos ? std::string::npos : t.text.find(')', open);
-    if (close == std::string::npos) continue;
-    std::string list = t.text.substr(open + 1, close - open - 1);
-    std::size_t end_line =
-        t.line + static_cast<std::size_t>(
-                     std::count(t.text.begin(), t.text.end(), '\n'));
-    std::stringstream ss(list);
-    std::string rule;
-    while (std::getline(ss, rule, ',')) {
-      while (!rule.empty() &&
-             std::isspace(static_cast<unsigned char>(rule.front()))) {
-        rule.erase(rule.begin());
-      }
-      while (!rule.empty() &&
-             std::isspace(static_cast<unsigned char>(rule.back()))) {
-        rule.pop_back();
-      }
-      if (rule.empty()) continue;
-      Suppression s;
-      s.rule = rule;
-      s.line = t.line;
-      s.col = t.col;
-      s.first_covered = t.line;
-      s.last_covered = opens_line ? end_line + 1 : end_line;
-      sups.push_back(s);
-    }
-  }
-  return sups;
-}
-
-// ---------------------------------------------------------------------------
-// Rule implementations. Each appends raw candidates; suppression filtering,
-// sorting, and fingerprinting happen in EvaluateFile.
+// Rule implementations. Each appends findings; EvaluateFile sorts them.
 // ---------------------------------------------------------------------------
 
 struct FileCtx {
   const std::string& path;
   const TuIndex& index;
-  /// Cross-file (LintTree) or TU-local (LintSource) map: function name ->
-  /// status type it returns ("DeviceStatus", ..., or "bool" for Try*).
-  const std::map<std::string, std::string>& status_of;
 };
 
 void Emit(std::vector<Finding>& out, const FileCtx& ctx, const Token& at,
           const char* rule, std::string message) {
-  out.push_back({ctx.path, at.line, at.col, rule, std::move(message), ""});
+  out.push_back({ctx.path, at.line, at.col, rule, std::move(message)});
 }
 
 /// tokens[i] is an identifier: true when the previous two code tokens are
@@ -390,8 +255,8 @@ void RulePragmaOnce(const FileCtx& ctx, std::vector<Finding>& out) {
     std::size_t b = NextCode(toks, a + 1);
     if (b < toks.size() && IsIdent(toks[b], "once")) return;
   }
-  out.push_back({ctx.path, 0, 0, "pragma-once",
-                 "header is missing #pragma once", ""});
+  out.push_back(
+      {ctx.path, 0, 0, "pragma-once", "header is missing #pragma once"});
 }
 
 /// An instantiation `TypeName var(` — declarations (`TypeName f();` at class
@@ -477,23 +342,8 @@ void RuleLayerDag(const FileCtx& ctx, std::vector<Finding>& out) {
           {ctx.path, inc.line, 1, "layer-dag",
            "include of \"" + inc.spelling + "\" violates the layer DAG: "
            "module '" + mod + "' may not depend on '" + dep +
-           "' (DESIGN.md §14)",
-           ""});
+           "' (DESIGN.md §14)"});
     }
-  }
-}
-
-void RuleDiscardedStatus(const FileCtx& ctx, std::vector<Finding>& out) {
-  for (const CallStatement& call : ctx.index.discard_candidates) {
-    auto it = ctx.status_of.find(call.callee);
-    if (it == ctx.status_of.end()) continue;
-    const std::string& type = it->second;
-    const std::string what =
-        type == "bool" ? "bool (a Try* API)" : type;
-    out.push_back({ctx.path, call.line, call.col, "discarded-status",
-                   "call to '" + call.callee + "' discards its " + what +
-                       " result; handle it or cast to (void) with a comment",
-                   ""});
   }
 }
 
@@ -620,85 +470,32 @@ void RuleSimtimeCast(const FileCtx& ctx, std::vector<Finding>& out) {
 // Orchestration.
 // ---------------------------------------------------------------------------
 
-/// Function name -> status type, from one TU's index.
-void AccumulateStatusMap(const TuIndex& index,
-                         std::map<std::string, std::string>& status_of) {
-  static const std::set<std::string> kStatusTypes = {
-      "DeviceStatus", "NandStatus", "FtlStatus", "RebuildReport"};
-  for (const FunctionInfo& fn : index.functions) {
-    for (const std::string& tok : fn.return_tokens) {
-      if (kStatusTypes.count(tok) != 0) {
-        status_of[fn.name] = tok;
-        break;
-      }
-    }
-    if (status_of.count(fn.name) == 0 && fn.name.rfind("Try", 0) == 0) {
-      for (const std::string& tok : fn.return_tokens) {
-        if (tok == "bool") {
-          status_of[fn.name] = "bool";
-          break;
-        }
-      }
-    }
-  }
-}
-
-std::vector<Finding> EvaluateFile(
-    const std::string& path, const std::string& content, const TuIndex& index,
-    const std::map<std::string, std::string>& status_of,
-    const Options& options) {
+std::vector<Finding> EvaluateFile(const std::string& path,
+                                  const TuIndex& index,
+                                  const Options& options) {
   auto enabled = [&](const char* rule) {
     return options.rules.empty() || options.rules.count(rule) != 0;
   };
 
-  FileCtx ctx{path, index, status_of};
-  std::vector<Finding> raw;
-  if (enabled("wall-clock")) RuleWallClock(ctx, raw);
-  if (enabled("unseeded-rng")) RuleUnseededRng(ctx, raw);
-  if (enabled("assert-on-status")) RuleAssertOnStatus(ctx, raw);
-  if (enabled("naked-timestamp")) RuleNakedTimestamp(ctx, raw);
-  if (enabled("raw-output")) RuleRawOutput(ctx, raw);
-  if (enabled("raw-thread")) RuleRawThread(ctx, raw);
-  if (enabled("pragma-once")) RulePragmaOnce(ctx, raw);
-  if (enabled("journal-hook")) RuleJournalHook(ctx, raw);
-  if (enabled("layer-dag")) RuleLayerDag(ctx, raw);
-  if (enabled("discarded-status")) RuleDiscardedStatus(ctx, raw);
-  if (enabled("lane-sync")) RuleLaneSync(ctx, raw);
-  if (enabled("simtime-cast")) RuleSimtimeCast(ctx, raw);
-
-  std::vector<Suppression> sups = FindSuppressions(index.tokens);
+  FileCtx ctx{path, index};
   std::vector<Finding> findings;
-  for (Finding& f : raw) {
-    bool suppressed = false;
-    for (Suppression& s : sups) {
-      if (s.rule != f.rule) continue;
-      if (f.line >= s.first_covered && f.line <= s.last_covered) {
-        s.used = true;
-        suppressed = true;
-      }
-    }
-    if (!suppressed) findings.push_back(std::move(f));
-  }
-  if (enabled("unused-suppression")) {
-    for (const Suppression& s : sups) {
-      if (s.used) continue;
-      if (!options.rules.empty() && options.rules.count(s.rule) == 0) {
-        continue;  // its rule didn't run; can't judge it stale
-      }
-      findings.push_back({path, s.line, s.col, "unused-suppression",
-                          "suppression 'allow(" + s.rule +
-                              ")' matched no finding; remove it",
-                          ""});
-    }
-  }
+  if (enabled("wall-clock")) RuleWallClock(ctx, findings);
+  if (enabled("unseeded-rng")) RuleUnseededRng(ctx, findings);
+  if (enabled("assert-on-status")) RuleAssertOnStatus(ctx, findings);
+  if (enabled("naked-timestamp")) RuleNakedTimestamp(ctx, findings);
+  if (enabled("raw-output")) RuleRawOutput(ctx, findings);
+  if (enabled("raw-thread")) RuleRawThread(ctx, findings);
+  if (enabled("pragma-once")) RulePragmaOnce(ctx, findings);
+  if (enabled("journal-hook")) RuleJournalHook(ctx, findings);
+  if (enabled("layer-dag")) RuleLayerDag(ctx, findings);
+  if (enabled("lane-sync")) RuleLaneSync(ctx, findings);
+  if (enabled("simtime-cast")) RuleSimtimeCast(ctx, findings);
 
   std::sort(findings.begin(), findings.end(),
             [](const Finding& a, const Finding& b) {
               return std::tie(a.line, a.col, a.rule) <
                      std::tie(b.line, b.col, b.rule);
             });
-  const std::vector<std::string> lines = SplitLines(Scrub(content));
-  AssignFingerprints(findings, &lines);
   return findings;
 }
 
@@ -724,14 +521,10 @@ const std::vector<RuleInfo>& AllRules() {
        "MutationAudit without a JournalBatchScope in an enclosing scope"},
       {"layer-dag",
        "include violates the module layering table (DESIGN.md §14)"},
-      {"discarded-status",
-       "expression statement silently drops a returned status"},
       {"lane-sync",
        "raw NAND content read without a lane drain in the same function"},
       {"simtime-cast",
        "SimTime <-> raw integer static_cast outside the sanctioned helpers"},
-      {"unused-suppression",
-       "insider-lint: allow(...) comment that suppressed nothing"},
   };
   return kRules;
 }
@@ -777,10 +570,7 @@ std::string Format(const Finding& finding) {
 std::vector<Finding> LintSource(const std::string& path_label,
                                 const std::string& content,
                                 const Options& options) {
-  TuIndex index = BuildIndex(content);
-  std::map<std::string, std::string> status_of;
-  AccumulateStatusMap(index, status_of);
-  return EvaluateFile(path_label, content, index, status_of, options);
+  return EvaluateFile(path_label, BuildIndex(content), options);
 }
 
 std::vector<Finding> CheckIncludeCycles(
@@ -811,7 +601,7 @@ std::vector<Finding> CheckIncludeCycles(
         for (; it != stack.end(); ++it) chain << *it << " -> ";
         chain << dep;
         findings.push_back(
-            {dep, 0, 0, "include-cycle", "include cycle: " + chain.str(), ""});
+            {dep, 0, 0, "include-cycle", "include cycle: " + chain.str()});
         return true;
       }
       if (color[dep] == 0 && visit(dep)) return true;
@@ -823,29 +613,20 @@ std::vector<Finding> CheckIncludeCycles(
   for (const auto& [name, _] : headers) {
     if (color[name] == 0 && visit(name)) break;
   }
-  AssignFingerprints(findings, nullptr);
   return findings;
 }
 
 std::vector<Finding> LintTree(const std::vector<std::filesystem::path>& roots,
                               const Options& options) {
   namespace fs = std::filesystem;
-  struct FileData {
-    std::string label;
-    std::string content;
-    TuIndex index;
-  };
   std::vector<Finding> findings;
-  std::vector<FileData> files;
   std::vector<std::pair<std::string, std::string>> headers;
   static const std::set<std::string> kExtensions = {".h", ".hpp", ".cc",
                                                     ".cpp", ".cxx"};
-  // Pass 1: read and index every file, so pass 2 can answer cross-file
-  // questions (which functions return statuses) regardless of walk order.
   for (const fs::path& root : roots) {
     if (!fs::exists(root)) {
       findings.push_back({root.generic_string(), 0, 0, "missing-root",
-                          "lint root does not exist", ""});
+                          "lint root does not exist"});
       continue;
     }
     for (const auto& entry : fs::recursive_directory_iterator(root)) {
@@ -863,29 +644,19 @@ std::vector<Finding> LintTree(const std::vector<std::filesystem::path>& roots,
       std::ifstream in(entry.path(), std::ios::binary);
       std::ostringstream buf;
       buf << in.rdbuf();
-      FileData fd;
-      fd.label = label;
-      fd.content = buf.str();
-      fd.index = BuildIndex(fd.content);
+      const std::string content = buf.str();
+      std::vector<Finding> file_findings =
+          EvaluateFile(label, BuildIndex(content), options);
+      findings.insert(findings.end(),
+                      std::make_move_iterator(file_findings.begin()),
+                      std::make_move_iterator(file_findings.end()));
       if (IsHeaderPath(label)) {
         std::size_t pos = label.rfind("src/");
         if (pos != std::string::npos) {
-          headers.emplace_back(label.substr(pos + 4), fd.content);
+          headers.emplace_back(label.substr(pos + 4), content);
         }
       }
-      files.push_back(std::move(fd));
     }
-  }
-
-  std::map<std::string, std::string> status_of;
-  for (const FileData& fd : files) AccumulateStatusMap(fd.index, status_of);
-
-  for (const FileData& fd : files) {
-    std::vector<Finding> file_findings =
-        EvaluateFile(fd.label, fd.content, fd.index, status_of, options);
-    findings.insert(findings.end(),
-                    std::make_move_iterator(file_findings.begin()),
-                    std::make_move_iterator(file_findings.end()));
   }
 
   if (options.rules.empty() || options.rules.count("include-cycle") != 0) {

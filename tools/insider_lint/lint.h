@@ -4,10 +4,12 @@
 // the deterministic substrate: virtual SimTime microseconds, the seeded
 // SplitMix64 Rng, one totally-ordered event stream, and the journal/audit
 // discipline around every mapping mutation. Generic linters cannot know
-// these rules. v1 enforced them with regexes over a character-level scrub;
-// v2 lexes each file into a token stream (tokenizer.h), builds a per-TU
-// structural index (index.h — functions with return types, call statements,
-// include edges, brace-matched bodies), and matches rules against that.
+// these rules, and the compiler cannot see them. v2 lexes each file into a
+// token stream (tokenizer.h), builds a per-TU structural index (index.h —
+// include edges, function declarators, brace-matched bodies), and matches
+// rules against that. Status hygiene is not a lint rule: the status types
+// and Try* calls are [[nodiscard]] and the build compiles with
+// -Werror=unused-result, which tests/compile_fail/ pins.
 //
 // Rules (ids as printed and as accepted by --rule=; see AllRules()):
 //
@@ -36,11 +38,6 @@
 //   layer-dag          includes between src/ modules must follow the
 //                      architecture DAG in DESIGN.md §14 (the table in
 //                      LayerAllowedDeps() is the machine-readable copy).
-//   discarded-status   an expression-statement call to a function whose
-//                      indexed return type is DeviceStatus / NandStatus /
-//                      FtlStatus / RebuildReport (or bool for Try* APIs)
-//                      silently drops the status. `(void)Call();` is the
-//                      sanctioned explicit discard and does not match.
 //   lane-sync          outside src/io/shard_* and src/nand/, a raw NAND
 //                      content read (`.Read(` / `BlockAt(...).Read(`) must
 //                      be preceded in the same function body by a lane
@@ -50,17 +47,8 @@
 //                      outside src/common/time.* and src/obs/ — use the
 //                      sanctioned helpers in src/common/time.h
 //                      (CostOf / TruncateMicros / RawMicros).
-//   unused-suppression an `// insider-lint: allow(rule)` comment that
-//                      suppressed nothing — stale suppressions rot.
 //
-// Suppressions: `// insider-lint: allow(rule)` (comma-list accepted;
-// `allow(rule): justification` is the house style — see DESIGN.md §14)
-// suppresses that rule on the comment's own line; a comment that is alone
-// on its line also covers the next line. Unused suppressions are findings.
-//
-// Every finding carries a stable fingerprint (FNV-1a over rule, path, and
-// the whitespace-squeezed scrubbed line) so SARIF consumers can track
-// findings across unrelated edits.
+// There is no suppression syntax: an offender is fixed, not silenced.
 #pragma once
 
 #include <filesystem>
@@ -77,12 +65,11 @@ struct Finding {
   std::size_t col = 0;   ///< 1-based; 0 when unknown
   std::string rule;      ///< rule id, e.g. "wall-clock"
   std::string message;
-  std::string fingerprint;  ///< stable hex id for SARIF baselining
 };
 
 struct RuleInfo {
   std::string id;
-  std::string summary;  ///< one line, shown by --list-rules and in SARIF
+  std::string summary;  ///< one line, shown by --list-rules
 };
 
 /// The registry: every rule the engine can emit, in display order.
@@ -105,9 +92,7 @@ struct Options {
 /// "path:line:col: [rule] message" (col omitted when 0, line when 0).
 std::string Format(const Finding& finding);
 
-/// Lint one file's content in isolation. Return-type knowledge for
-/// `discarded-status` is limited to functions declared in this same file
-/// (self-contained fixtures fire; LintTree supplies the cross-file map).
+/// Lint one file's content in isolation (every rule but include-cycle).
 std::vector<Finding> LintSource(const std::string& path_label,
                                 const std::string& content,
                                 const Options& options = {});
@@ -117,9 +102,9 @@ std::vector<Finding> LintSource(const std::string& path_label,
 std::vector<Finding> CheckIncludeCycles(
     const std::vector<std::pair<std::string, std::string>>& headers);
 
-/// Walk the given roots (skipping any path containing "testdata"), index
-/// every C++ source/header, then evaluate all rules with the cross-file
-/// return-type map and the include graph over headers found under "src".
+/// Walk the given roots (skipping any path containing "testdata"), lint
+/// every C++ source/header, then check the include graph over headers
+/// found under "src".
 std::vector<Finding> LintTree(const std::vector<std::filesystem::path>& roots,
                               const Options& options = {});
 

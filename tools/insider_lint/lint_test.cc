@@ -1,8 +1,7 @@
 // Tests for the insider_check v2 rules: every rule must fire on its
 // planted fixture (an auditor that never fails is untestable), must stay
 // quiet on idiomatic clean code, and the real tree must lint clean. Also
-// covers the rule registry, suppressions (used, unused, and filtered),
-// fingerprint stability, and the SARIF export's structure.
+// covers the rule registry and the absence of a suppression syntax.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,7 +14,6 @@
 #include <vector>
 
 #include "lint.h"
-#include "sarif.h"
 
 namespace insider::lint {
 namespace {
@@ -28,12 +26,6 @@ std::string ReadFile(const fs::path& path) {
   std::ostringstream buf;
   buf << in.rdbuf();
   return buf.str();
-}
-
-std::vector<std::string> RulesOf(const std::vector<Finding>& findings) {
-  std::vector<std::string> rules;
-  for (const Finding& f : findings) rules.push_back(f.rule);
-  return rules;
 }
 
 bool HasRule(const std::vector<Finding>& findings, const std::string& rule) {
@@ -56,7 +48,7 @@ fs::path Testdata() { return fs::path(INSIDER_LINT_TESTDATA); }
 
 TEST(InsiderLintTest, RegistryListsEveryRuleOnce) {
   const auto& rules = AllRules();
-  EXPECT_EQ(rules.size(), 14u);
+  EXPECT_EQ(rules.size(), 12u);
   std::set<std::string> ids;
   for (const RuleInfo& r : rules) {
     EXPECT_FALSE(r.summary.empty()) << r.id;
@@ -64,10 +56,12 @@ TEST(InsiderLintTest, RegistryListsEveryRuleOnce) {
     EXPECT_TRUE(IsKnownRule(r.id));
   }
   EXPECT_TRUE(ids.count("layer-dag"));
-  EXPECT_TRUE(ids.count("discarded-status"));
   EXPECT_TRUE(ids.count("lane-sync"));
   EXPECT_TRUE(ids.count("simtime-cast"));
-  EXPECT_TRUE(ids.count("unused-suppression"));
+  // Status hygiene is the compiler's ([[nodiscard]] + -Werror=unused-result),
+  // and there is no suppression syntax to go stale.
+  EXPECT_FALSE(IsKnownRule("discarded-status"));
+  EXPECT_FALSE(IsKnownRule("unused-suppression"));
   EXPECT_FALSE(IsKnownRule("no-such-rule"));
 }
 
@@ -316,39 +310,6 @@ TEST(InsiderLintTest, LayerDagFlagsUpwardInclude) {
 }
 
 // ---------------------------------------------------------------------------
-// discarded-status.
-// ---------------------------------------------------------------------------
-
-TEST(InsiderLintTest, FlagsDiscardedStatusFixture) {
-  auto findings =
-      LintSource("testdata/bad_discarded_status.cc",
-                 ReadFile(Testdata() / "bad_discarded_status.cc"));
-  // Submit, Flush, RebuildFromNand, TryPush. PlainCount (plain int),
-  // (void)Submit, and the consumed Submit must not fire.
-  EXPECT_EQ(CountRule(findings, "discarded-status"), 4u);
-  std::vector<std::string> rules = RulesOf(findings);
-  EXPECT_EQ(findings.size(), 4u) << "only discarded-status expected";
-}
-
-TEST(InsiderLintTest, DiscardedStatusSanctionsVoidCastAndConsumption) {
-  const std::string decl = "DeviceStatus Submit(int lba);\n";
-  EXPECT_TRUE(HasRule(LintSource("src/io/io_engine.cc",
-                                 decl + "void F() { Submit(1); }\n"),
-                      "discarded-status"));
-  EXPECT_FALSE(HasRule(LintSource("src/io/io_engine.cc",
-                                  decl + "void F() { (void)Submit(1); }\n"),
-                       "discarded-status"));
-  EXPECT_FALSE(HasRule(
-      LintSource("src/io/io_engine.cc",
-                 decl + "void F() { DeviceStatus s = Submit(1); (void)s; }\n"),
-      "discarded-status"));
-  // Unknown callees are not status-returning as far as the index knows.
-  EXPECT_FALSE(HasRule(LintSource("src/io/io_engine.cc",
-                                  "void F() { Mystery(1); }\n"),
-                       "discarded-status"));
-}
-
-// ---------------------------------------------------------------------------
 // lane-sync.
 // ---------------------------------------------------------------------------
 
@@ -421,66 +382,20 @@ TEST(InsiderLintTest, SimtimeCastExemptsTheSanctionedHomes) {
 }
 
 // ---------------------------------------------------------------------------
-// Suppressions.
+// No suppressions: offenders are fixed, never silenced.
 // ---------------------------------------------------------------------------
 
-TEST(InsiderLintTest, SuppressionCoversItsOwnLine) {
-  auto findings = LintSource(
-      "src/ftl/x.cc",
-      "std::uint64_t t = time(nullptr);  "
-      "// insider-lint: allow(wall-clock): boot stamp for the report\n");
-  EXPECT_TRUE(findings.empty())
-      << Format(findings.front());
-}
-
-TEST(InsiderLintTest, LineOpeningSuppressionCoversTheNextLine) {
-  auto findings = LintSource(
+TEST(InsiderLintTest, AllowCommentsDoNotSilenceFindings) {
+  auto same_line =
+      LintSource("src/ftl/x.cc",
+                 "std::uint64_t t = time(nullptr);  "
+                 "// insider-lint: allow(wall-clock)\n");
+  EXPECT_EQ(CountRule(same_line, "wall-clock"), 1u);
+  auto line_before = LintSource(
       "src/ftl/x.cc",
       "// insider-lint: allow(wall-clock): boot stamp for the report\n"
       "std::uint64_t t = time(nullptr);\n");
-  EXPECT_TRUE(findings.empty()) << Format(findings.front());
-}
-
-TEST(InsiderLintTest, SuppressionOnlySilencesItsOwnRule) {
-  auto findings = LintSource(
-      "src/ftl/x.cc",
-      "// insider-lint: allow(unseeded-rng): wrong rule\n"
-      "std::uint64_t t = time(nullptr);\n");
-  EXPECT_TRUE(HasRule(findings, "wall-clock"));
-  EXPECT_TRUE(HasRule(findings, "unused-suppression"));
-}
-
-TEST(InsiderLintTest, UnusedSuppressionIsAFinding) {
-  auto findings =
-      LintSource("testdata/suppression/unused_suppression.cc",
-                 ReadFile(Testdata() / "suppression" /
-                          "unused_suppression.cc"));
-  ASSERT_EQ(CountRule(findings, "unused-suppression"), 1u);
-  EXPECT_NE(findings.front().message.find("wall-clock"), std::string::npos);
-}
-
-TEST(InsiderLintTest, UnusedSuppressionNotJudgedWhenItsRuleIsFiltered) {
-  // Under --rule=unseeded-rng the wall-clock rule never ran, so the
-  // engine cannot call its suppression stale.
-  Options only_rng;
-  only_rng.rules = {"unseeded-rng", "unused-suppression"};
-  auto findings = LintSource(
-      "src/ftl/x.cc",
-      "// insider-lint: allow(wall-clock): judged only when rule runs\n"
-      "std::uint64_t t = time(nullptr);\n",
-      only_rng);
-  EXPECT_TRUE(findings.empty()) << Format(findings.front());
-}
-
-TEST(InsiderLintTest, ProseMentioningTheSyntaxIsNotASuppression) {
-  // Documentation that quotes `insider-lint: allow(rule)` mid-sentence —
-  // like the engine's own header comment — must not register (and thus
-  // must not later report itself unused).
-  auto findings = LintSource(
-      "src/ftl/x.cc",
-      "// Suppress with an `insider-lint: allow(wall-clock)` comment.\n"
-      "int x = 1;\n");
-  EXPECT_TRUE(findings.empty()) << Format(findings.front());
+  EXPECT_EQ(CountRule(line_before, "wall-clock"), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -564,79 +479,17 @@ TEST(InsiderLintTest, SimTimeTimestampsAreAllowed) {
 }
 
 TEST(InsiderLintTest, FormatCarriesFileLineColRule) {
-  Finding f{"src/a.cc", 12, 7, "wall-clock", "boom", ""};
+  Finding f{"src/a.cc", 12, 7, "wall-clock", "boom"};
   EXPECT_EQ(Format(f), "src/a.cc:12:7: [wall-clock] boom");
-  Finding no_col{"src/a.cc", 12, 0, "wall-clock", "boom", ""};
+  Finding no_col{"src/a.cc", 12, 0, "wall-clock", "boom"};
   EXPECT_EQ(Format(no_col), "src/a.cc:12: [wall-clock] boom");
-  Finding whole_file{"src/b.h", 0, 0, "pragma-once", "missing", ""};
+  Finding whole_file{"src/b.h", 0, 0, "pragma-once", "missing"};
   EXPECT_EQ(Format(whole_file), "src/b.h: [pragma-once] missing");
 }
 
-// ---------------------------------------------------------------------------
-// Fingerprints.
-// ---------------------------------------------------------------------------
-
-TEST(InsiderLintTest, FingerprintsAreStableAcrossLineRenumbering) {
-  const std::string before = "std::uint64_t t = time(nullptr);\n";
-  const std::string after =  // same offending line, pushed down two lines
-      "// prologue comment\n\nstd::uint64_t t = time(nullptr);\n";
-  auto a = LintSource("src/ftl/x.cc", before);
-  auto b = LintSource("src/ftl/x.cc", after);
-  ASSERT_EQ(a.size(), 1u);
-  ASSERT_EQ(b.size(), 1u);
-  EXPECT_EQ(a.front().fingerprint.size(), 16u);
-  EXPECT_EQ(a.front().fingerprint, b.front().fingerprint);
-}
-
-TEST(InsiderLintTest, IdenticalAnchorsGetDistinctFingerprints) {
-  auto findings = LintSource(
-      "src/ftl/x.cc",
-      "std::uint64_t a = time(nullptr);\nstd::uint64_t a = time(nullptr);\n");
-  ASSERT_EQ(findings.size(), 2u);
-  EXPECT_NE(findings[0].fingerprint, findings[1].fingerprint);
-}
-
-// ---------------------------------------------------------------------------
-// SARIF export.
-// ---------------------------------------------------------------------------
-
-TEST(InsiderLintTest, SarifDocumentCarriesRulesResultsAndFingerprints) {
-  auto findings = LintSource("testdata/bad_rng.cc",
-                             ReadFile(Testdata() / "bad_rng.cc"));
-  ASSERT_FALSE(findings.empty());
-  const std::string sarif = ToSarif(findings);
-  EXPECT_NE(sarif.find("\"version\": \"2.1.0\""), std::string::npos);
-  EXPECT_NE(sarif.find("\"name\": \"insider_check\""), std::string::npos);
-  // Every registered rule appears as a reportingDescriptor.
-  for (const RuleInfo& r : AllRules()) {
-    EXPECT_NE(sarif.find("\"id\": \"" + r.id + "\""), std::string::npos)
-        << r.id;
-  }
-  // Every finding appears as a result with its fingerprint.
-  for (const Finding& f : findings) {
-    EXPECT_NE(sarif.find(f.fingerprint), std::string::npos) << Format(f);
-  }
-  EXPECT_NE(sarif.find("\"ruleId\": \"unseeded-rng\""), std::string::npos);
-  EXPECT_NE(sarif.find("\"insiderLint/v1\""), std::string::npos);
-  EXPECT_NE(sarif.find("testdata/bad_rng.cc"), std::string::npos);
-}
-
-TEST(InsiderLintTest, SarifEmptyRunIsStillAValidDocument) {
-  const std::string sarif = ToSarif({});
-  EXPECT_NE(sarif.find("\"results\": ["), std::string::npos);
-  EXPECT_EQ(sarif.find("\"ruleId\""), std::string::npos);
-  EXPECT_NE(sarif.find("\"version\": \"2.1.0\""), std::string::npos);
-}
-
-TEST(InsiderLintTest, SarifEscapesMessageText) {
-  Finding f{"src/a.cc", 1, 1, "wall-clock", "say \"hi\"\\now", ""};
-  const std::string sarif = ToSarif({f});
-  EXPECT_NE(sarif.find("say \\\"hi\\\"\\\\now"), std::string::npos) << sarif;
-}
-
 // The gate that matters: the real tree lints clean — including this tool
-// linting itself — with zero unused suppressions. This is the same scan
-// CI's insider_lint job runs via the CLI binary.
+// linting itself. This is the same scan CI's insider_lint job runs via the
+// CLI binary.
 TEST(InsiderLintTest, RepositoryTreeIsClean) {
   fs::path root(INSIDER_LINT_SOURCE_ROOT);
   auto findings =

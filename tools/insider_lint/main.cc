@@ -6,34 +6,27 @@
 //   --list-rules        print every registered rule id + summary, exit 0.
 //   --rule=<id>[,<id>]  run only the named rules (repeatable; ids from
 //                       --list-rules). Unknown ids are a usage error.
-//   --sarif=<path>      additionally write the run as a SARIF 2.1.0
-//                       document to <path> ("-" for stdout). The SARIF file
-//                       is written whether or not there are findings, so CI
-//                       always has an artifact to upload.
 //
 // Exit-code contract (relied on by the ctest gates and CI):
 //   0  lint ran and found nothing;
 //   1  lint ran and produced at least one finding (they are printed to
 //      stderr, one "path:line:col: [rule] message" per line);
-//   2  usage or I/O error (bad flag, unknown rule id, no roots,
-//      unwritable --sarif path) — nothing was linted.
+//   2  usage error (bad flag, unknown rule id, no roots) — nothing was
+//      linted.
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "lint.h"
-#include "sarif.h"
 
 namespace {
 
 void PrintUsage(const char* argv0) {
   std::fprintf(
       stderr,
-      "usage: %s [--list-rules] [--rule=<id>[,<id>...]] [--sarif=<path>] "
-      "<root-dir>...\n",
+      "usage: %s [--list-rules] [--rule=<id>[,<id>...]] <root-dir>...\n",
       argv0);
 }
 
@@ -42,7 +35,6 @@ void PrintUsage(const char* argv0) {
 int main(int argc, char** argv) {
   std::vector<std::filesystem::path> roots;
   std::set<std::string> rules;
-  std::string sarif_path;
   bool list_rules = false;
 
   for (int i = 1; i < argc; ++i) {
@@ -70,12 +62,6 @@ int main(int argc, char** argv) {
       }
       if (rules.empty()) {
         std::fprintf(stderr, "insider_lint: --rule= names no rules\n");
-        return 2;
-      }
-    } else if (arg.rfind("--sarif=", 0) == 0) {
-      sarif_path = arg.substr(8);
-      if (sarif_path.empty()) {
-        std::fprintf(stderr, "insider_lint: --sarif= needs a path\n");
         return 2;
       }
     } else if (arg.rfind("--", 0) == 0) {
@@ -106,26 +92,6 @@ int main(int argc, char** argv) {
 
   for (const insider::lint::Finding& f : findings) {
     std::fprintf(stderr, "%s\n", insider::lint::Format(f).c_str());
-  }
-
-  if (!sarif_path.empty()) {
-    const std::string doc = insider::lint::ToSarif(findings);
-    if (sarif_path == "-") {
-      std::fwrite(doc.data(), 1, doc.size(), stdout);
-    } else {
-      std::ofstream out(sarif_path, std::ios::binary);
-      if (!out) {
-        std::fprintf(stderr, "insider_lint: cannot write '%s'\n",
-                     sarif_path.c_str());
-        return 2;
-      }
-      out << doc;
-      if (!out.flush()) {
-        std::fprintf(stderr, "insider_lint: short write to '%s'\n",
-                     sarif_path.c_str());
-        return 2;
-      }
-    }
   }
 
   if (!findings.empty()) {

@@ -264,37 +264,4 @@ std::vector<Token> Tokenize(const std::string& src) {
   return Lexer(src).Run();
 }
 
-std::string Scrub(const std::string& src) {
-  // Start from all-blank (newlines preserved), then copy code tokens back;
-  // comments stay blank and literals keep only their delimiters. Length and
-  // newline positions are identical to the input by construction.
-  std::string out(src.size(), ' ');
-  for (std::size_t i = 0; i < src.size(); ++i) {
-    if (src[i] == '\n') out[i] = '\n';
-  }
-  for (const Token& t : Tokenize(src)) {
-    switch (t.kind) {
-      case TokKind::kLineComment:
-      case TokKind::kBlockComment:
-        break;  // fully blanked
-      case TokKind::kString:
-      case TokKind::kCharLit: {
-        // Keep the first and last byte (quote or prefix start/closing
-        // quote) so the scrubbed text still parses as a literal.
-        if (!t.text.empty()) {
-          out[t.offset] = t.text.front();
-          out[t.offset + t.text.size() - 1] = t.text.back();
-        }
-        break;
-      }
-      default:
-        for (std::size_t i = 0; i < t.text.size(); ++i) {
-          if (t.text[i] != '\n') out[t.offset + i] = t.text[i];
-        }
-        break;
-    }
-  }
-  return out;
-}
-
 }  // namespace insider::lint

@@ -6,11 +6,11 @@
 // stream that records, for every token, its exact source spelling and its
 // byte offset / line / column. Rules match token sequences, so prose in
 // comments and strings can never trip them, and every finding carries a
-// precise location for SARIF export.
+// precise file:line:col location.
 //
 // The lexer is a single forward pass with no backtracking. It understands:
-//   - line and block comments (kept as tokens: the suppression scanner
-//     reads `// insider-lint: allow(...)` out of them),
+//   - line and block comments (kept as tokens; rules skip them with
+//     IsComment()),
 //   - string literals with escapes and encoding prefixes (u8"", L"", ...),
 //   - raw strings with arbitrary delimiters (R"x( ... )x"),
 //   - char literals vs C++14 digit separators (1'000'000, 0xBE5C'0000 lex
@@ -22,9 +22,7 @@
 //   - tokens are in source order, non-overlapping, and
 //     src.substr(tok.offset, tok.text.size()) == tok.text for every token;
 //   - the gaps between tokens contain only whitespace;
-//   - line/col are 1-based and agree with counting '\n' up to tok.offset;
-//   - Scrub() output has the same length and the same newline positions as
-//     the input (so line/col arithmetic on scrubbed text stays valid).
+//   - line/col are 1-based and agree with counting '\n' up to tok.offset.
 #pragma once
 
 #include <cstddef>
@@ -56,12 +54,6 @@ struct Token {
 /// to end of input, and bytes that fit nothing become one-char kPunct
 /// tokens, so the linter degrades gracefully on files it half-understands.
 std::vector<Token> Tokenize(const std::string& src);
-
-/// Length- and newline-preserving "code only" projection built from the
-/// token stream: comment bodies and string/char-literal contents become
-/// spaces (string quotes and the raw-string prefix survive so the text
-/// still reads as code). Subsumes v1's character-machine scrubber.
-std::string Scrub(const std::string& src);
 
 /// True for comment tokens — rule matchers iterate with these skipped.
 inline bool IsComment(const Token& t) {

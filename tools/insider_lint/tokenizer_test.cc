@@ -4,10 +4,9 @@
 // nested decorations, escaped quotes), then assert the pinned invariants
 // from tokenizer.h — every token is position-identical to the input
 // (src.substr(offset) round-trips its spelling), gaps are whitespace-only,
-// line/col agree with counting newlines, and Scrub() preserves length and
-// newline positions. The v1 character-machine scrubber failed exactly
-// these properties twice (digit separators, raw-string delimiters); the
-// fuzz pool is built from those regressions.
+// and line/col agree with counting newlines. The v1 character-machine
+// scrubber failed exactly these properties twice (digit separators,
+// raw-string delimiters); the fuzz pool is built from those regressions.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -146,23 +145,6 @@ void CheckInvariants(const std::string& src) {
     }
   }
   EXPECT_EQ(rebuilt, src) << "token stream does not cover the source";
-
-  // Scrub: same length, newlines at identical offsets, and code tokens
-  // survive verbatim (anything the scrubber blanks sits inside a literal
-  // or comment token).
-  const std::string scrubbed = Scrub(src);
-  ASSERT_EQ(scrubbed.size(), src.size());
-  for (std::size_t i = 0; i < src.size(); ++i) {
-    EXPECT_EQ(src[i] == '\n', scrubbed[i] == '\n') << "at offset " << i;
-  }
-  for (const Token& tok : tokens) {
-    if (IsComment(tok) || tok.kind == TokKind::kString ||
-        tok.kind == TokKind::kCharLit) {
-      continue;  // the scrubber may blank these
-    }
-    EXPECT_EQ(scrubbed.substr(tok.offset, tok.text.size()), tok.text)
-        << "scrub altered a code token at offset " << tok.offset;
-  }
 }
 
 TEST(TokenizerPropertyTest, SeededDifferentialRoundTrip) {
