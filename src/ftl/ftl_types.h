@@ -1,10 +1,9 @@
 // Shared FTL value types: host-visible status/result structs, the device
 // configuration, statistics counters, and the per-page / per-block state the
-// mapping core, the GC engine and the pluggable policies all agree on.
+// mapping core and the pluggable victim policies agree on.
 //
-// Kept free of any class logic so that policy implementations (policy.h) and
-// the GC engine (gc_engine.h) can be compiled against this header without
-// pulling in the full mapping core.
+// Kept free of any class logic so that policy implementations (policy.h) can
+// be compiled against this header without pulling in the full mapping core.
 #pragma once
 
 #include <cstdint>

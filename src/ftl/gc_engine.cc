@@ -1,5 +1,6 @@
-#include "ftl/gc_engine.h"
-
+// PageFtl's garbage-collection mechanics (the private GC members declared
+// in page_ftl.h): victim relocation, erase-intent journaling, grown-bad-block
+// draining and the foreground space guarantee.
 #include <algorithm>
 #include <cassert>
 #include <optional>
@@ -9,25 +10,24 @@
 
 namespace insider::ftl {
 
-bool GcEngine::CollectOne(SimTime& now, std::uint32_t max_movable) {
-  std::uint32_t victim = ftl_.victim_->SelectVictim(ftl_.view_, max_movable);
+bool PageFtl::CollectOne(SimTime& now, std::uint32_t max_movable) {
+  std::uint32_t victim = victim_->SelectVictim(view_, max_movable);
   if (victim == kNoVictim) return false;  // nothing reclaimable
   return CollectVictim(victim, now);
 }
 
-bool GcEngine::EvacuateBlock(std::uint32_t block_id, SimTime& now) {
-  PageFtl& f = ftl_;
-  const nand::Geometry& geo = f.config_.geometry;
-  nand::BlockAddr addr = f.AddrOfBlockId(block_id);
+bool PageFtl::EvacuateBlock(std::uint32_t block_id, SimTime& now) {
+  const nand::Geometry& geo = config_.geometry;
+  nand::BlockAddr addr = AddrOfBlockId(block_id);
   for (std::uint32_t p = 0; p < geo.pages_per_block; ++p) {
     nand::Ppa src = geo.MakePpa(addr.chip, addr.block, p);
-    PageState st = f.page_state_.Get(src);
+    PageState st = page_state_.Get(src);
     if (st != PageState::kValid && st != PageState::kRetained &&
         st != PageState::kArchived) {
       continue;
     }
 
-    nand::NandResult rd = f.nand_.ReadPage(src, now);
+    nand::NandResult rd = nand_.ReadPage(src, now);
     now = rd.complete_time;
     if (!rd.ok()) {
       // The page cannot be relocated — its content is gone. Uncorrectable
@@ -36,87 +36,86 @@ bool GcEngine::EvacuateBlock(std::uint32_t block_id, SimTime& now) {
       // recovery that keeps the device up. A valid page loses its mapping;
       // a retained page loses its backup; an archived page loses every
       // version record that referenced its content.
-      ++f.stats_.gc_lost_pages;
-      Lba lost_lba = f.p2l_.Get(src);
+      ++stats_.gc_lost_pages;
+      Lba lost_lba = p2l_.Get(src);
       if (st == PageState::kValid) {
-        if (lost_lba != kInvalidLba) f.l2p_.Set(lost_lba, nand::kInvalidPpa);
-        f.block_counters_.AddValid(block_id, -1);
-        --f.valid_pages_;
+        if (lost_lba != kInvalidLba) l2p_.Set(lost_lba, nand::kInvalidPpa);
+        block_counters_.AddValid(block_id, -1);
+        --valid_pages_;
       } else if (st == PageState::kArchived) {
-        f.stats_.archived_lost += f.store_.DropPpa(src);
-        f.block_counters_.AddArchived(block_id, -1);
-        --f.archived_pages_;
-      } else if (f.queue_.Drop(src)) {
-        f.block_counters_.AddRetained(block_id, -1);
-        --f.retained_pages_;
+        stats_.archived_lost += store_.DropPpa(src);
+        block_counters_.AddArchived(block_id, -1);
+        --archived_pages_;
+      } else if (queue_.Drop(src)) {
+        block_counters_.AddRetained(block_id, -1);
+        --retained_pages_;
       }
-      f.page_state_.Set(src, PageState::kInvalid);
-      f.p2l_.Set(src, kInvalidLba);
-      f.JournalAppend({JournalOpKind::kDrop, /*flag=*/false, 0, src,
-                       nand::kInvalidPpa, 0, now, 0});
+      page_state_.Set(src, PageState::kInvalid);
+      p2l_.Set(src, kInvalidLba);
+      JournalAppend({JournalOpKind::kDrop, /*flag=*/false, 0, src,
+                     nand::kInvalidPpa, 0, now, 0});
       continue;
     }
     // Relocation preserves the version's OOB identity (lba, written_at);
     // only the program sequence number is fresh. A program fault on the
     // destination is absorbed by the re-drive.
-    nand::Ppa dst = f.ProgramWithRedrive(*rd.data, now);
+    nand::Ppa dst = ProgramWithRedrive(*rd.data, now);
     if (dst == nand::kInvalidPpa) return false;  // reserve exhausted
 
-    ++f.stats_.gc_page_copies;
-    Lba lba = f.p2l_.Get(src);
-    f.p2l_.Set(dst, lba);
-    f.page_state_.Set(dst, st);
-    const std::uint32_t dst_block = f.BlockIdOf(dst);
+    ++stats_.gc_page_copies;
+    Lba lba = p2l_.Get(src);
+    p2l_.Set(dst, lba);
+    page_state_.Set(dst, st);
+    const std::uint32_t dst_block = BlockIdOf(dst);
     if (st == PageState::kValid) {
-      f.block_counters_.AddValid(dst_block, +1);
-      f.block_counters_.AddValid(block_id, -1);
+      block_counters_.AddValid(dst_block, +1);
+      block_counters_.AddValid(block_id, -1);
       assert(lba != kInvalidLba);
-      f.l2p_.Set(lba, dst);
+      l2p_.Set(lba, dst);
     } else if (st == PageState::kArchived) {
-      f.block_counters_.AddArchived(dst_block, +1);
-      f.block_counters_.AddArchived(block_id, -1);
-      bool moved = f.store_.Relocate(src, dst);
+      block_counters_.AddArchived(dst_block, +1);
+      block_counters_.AddArchived(block_id, -1);
+      bool moved = store_.Relocate(src, dst);
       assert(moved);
       (void)moved;
     } else {
-      ++f.stats_.gc_retained_copies;
-      f.block_counters_.AddRetained(dst_block, +1);
-      f.block_counters_.AddRetained(block_id, -1);
-      bool relocated = f.queue_.Relocate(src, dst);
+      ++stats_.gc_retained_copies;
+      block_counters_.AddRetained(dst_block, +1);
+      block_counters_.AddRetained(block_id, -1);
+      bool relocated = queue_.Relocate(src, dst);
       assert(relocated);
       (void)relocated;
     }
-    f.page_state_.Set(src, PageState::kInvalid);
-    f.p2l_.Set(src, kInvalidLba);
+    page_state_.Set(src, PageState::kInvalid);
+    p2l_.Set(src, kInvalidLba);
     // `write_seq_` is exactly the destination page's OOB sequence here: the
     // re-drive loop journals its own kBurn consumption records.
-    f.JournalAppend({JournalOpKind::kRelocate, /*flag=*/false, 0, src, dst,
-                     f.write_seq_, now, 0});
+    JournalAppend({JournalOpKind::kRelocate, /*flag=*/false, 0, src, dst,
+                   write_seq_, now, 0});
   }
   return true;
 }
 
-bool GcEngine::CollectVictim(std::uint32_t victim, SimTime& now) {
-  PageFtl& f = ftl_;
-  const nand::Geometry& geo = f.config_.geometry;
-  nand::BlockAddr addr = f.AddrOfBlockId(victim);
+bool PageFtl::CollectVictim(std::uint32_t victim, SimTime& now) {
+  const nand::Geometry& geo = config_.geometry;
+  nand::BlockAddr addr = AddrOfBlockId(victim);
   if (!EvacuateBlock(victim, now)) return false;
 
   // Erase-intent protocol: an erase destroys OOB history the rebuild scan
   // would otherwise read back, so every record up to and including the
   // intent must be durable *before* the block is erased. Replay compares the
   // recorded erase count against media to decide whether the erase landed.
-  if (f.journal_.Enabled() && !f.replaying_) {
+  if (journal_.Enabled() && !replaying_) {
     const JournalRecord intent{JournalOpKind::kEraseIntent, /*flag=*/false, 0,
                                victim, nand::kInvalidPpa,
-                               f.nand_.BlockAt(addr).EraseCount(), now, 0};
-    f.JournalAppend(intent);
-    if (!f.JournalFlushAll(now)) {
+                               nand_.BlockAt(addr).EraseCount(), now, 0};
+    JournalAppend(intent);
+    if (!JournalFlushAll(now)) {
       // Region exhausted or the flush tore: a committed checkpoint clears
       // the journal, so re-stage the intent on the fresh region and retry.
-      now = std::max(now, f.TakeCheckpoint(now));
-      f.JournalAppend(intent);
-      if (!f.JournalFlushAll(now)) {
+      now = std::max(now, TakeCheckpoint(now));
+      JournalAppend(intent);
+      if (!JournalFlushAll(now)) {
         // Still not durable (metadata faults). Skipping the erase keeps the
         // O(Δ) contract; the caller falls through to forced releases, and a
         // crash in this state rebuilds via the full-scan fallback.
@@ -125,138 +124,103 @@ bool GcEngine::CollectVictim(std::uint32_t victim, SimTime& now) {
     }
   }
 
-  nand::NandResult er = f.nand_.EraseBlock(addr, now);
+  nand::NandResult er = nand_.EraseBlock(addr, now);
   now = er.complete_time;
   if (!er.ok()) {
     // Erase fault: the block grew bad. It is already evacuated, so retire
     // it on the spot. Return true — the victim left GC's candidate set, so
     // the caller's loop makes progress even though no block was freed.
-    ++f.stats_.erase_fails;
-    obs::EmitInstant(f.tracer_, "ftl.retire_block", "ftl", 0, now,
+    ++stats_.erase_fails;
+    obs::EmitInstant(tracer_, "ftl.retire_block", "ftl", 0, now,
                      static_cast<std::int64_t>(victim), "block");
-    f.RetireBlock(victim);
+    RetireBlock(victim);
     return true;
   }
   for (std::uint32_t p = 0; p < geo.pages_per_block; ++p) {
-    f.page_state_.Set(geo.MakePpa(addr.chip, addr.block, p), PageState::kFree);
+    page_state_.Set(geo.MakePpa(addr.chip, addr.block, p), PageState::kFree);
   }
-  assert(f.block_counters_[victim].Movable() == 0);
-  f.RecycleBlock(victim);
-  ++f.stats_.gc_erases;
+  assert(block_counters_[victim].Movable() == 0);
+  RecycleBlock(victim);
+  ++stats_.gc_erases;
   return true;
 }
 
-bool GcEngine::DrainRetirements(SimTime& now) {
-  PageFtl& f = ftl_;
+bool PageFtl::DrainRetirements(SimTime& now) {
   // Evacuation can itself hit program faults and flag more blocks; the loop
   // picks those up too. A block whose evacuation stalls (frontier dry)
   // stays flagged for the next call.
-  while (!f.pending_retire_.empty()) {
-    std::uint32_t block_id = f.pending_retire_.back();
+  while (!pending_retire_.empty()) {
+    std::uint32_t block_id = pending_retire_.back();
     if (!EvacuateBlock(block_id, now)) return false;
     // Evacuation may have flagged more blocks, so this one is not
     // necessarily still at the back — erase it by value.
-    f.pending_retire_.erase(std::find(f.pending_retire_.begin(),
-                                      f.pending_retire_.end(), block_id));
-    obs::EmitInstant(f.tracer_, "ftl.retire_block", "ftl", 0, now,
+    pending_retire_.erase(
+        std::find(pending_retire_.begin(), pending_retire_.end(), block_id));
+    obs::EmitInstant(tracer_, "ftl.retire_block", "ftl", 0, now,
                      static_cast<std::int64_t>(block_id), "block");
-    f.RetireBlock(block_id);
-    f.JournalAppend({JournalOpKind::kRetireBlock, /*flag=*/false, 0, block_id,
-                     nand::kInvalidPpa, 0, now, 0});
+    RetireBlock(block_id);
+    JournalAppend({JournalOpKind::kRetireBlock, /*flag=*/false, 0, block_id,
+                   nand::kInvalidPpa, 0, now, 0});
   }
   return true;
 }
 
-bool GcEngine::EnsureFreeSpace(SimTime& now) {
-  PageFtl& f = ftl_;
-  if (f.free_block_count_ > f.config_.gc_reserve_blocks) return true;
-  ++f.stats_.gc_invocations;
+bool PageFtl::EnsureFreeSpace(SimTime& now) {
+  if (free_block_count_ > config_.gc_reserve_blocks) return true;
+  ++stats_.gc_invocations;
   const SimTime start = now;
   // Any full block that frees at least one page qualifies.
-  const std::uint32_t max_movable = f.config_.geometry.pages_per_block - 1;
+  const std::uint32_t max_movable = config_.geometry.pages_per_block - 1;
   bool ok = true;
-  while (f.free_block_count_ <= f.config_.gc_reserve_blocks) {
+  while (free_block_count_ <= config_.gc_reserve_blocks) {
     if (!CollectOne(now, max_movable)) {
       // Nothing reclaimable: every block is valid or retained. When the
       // recovery queue holds backups, sacrifice the oldest ones (losing
       // their recoverability, as a capacity-bounded queue would) so GC can
       // make progress; otherwise the device is genuinely full.
-      if (f.config_.delayed_deletion && !f.queue_.Empty()) {
+      if (config_.delayed_deletion && !queue_.Empty()) {
         // One erase block's worth, so a forced round can actually make a
         // block reclaimable.
-        const std::uint32_t batch = f.config_.geometry.pages_per_block;
+        const std::uint32_t batch = config_.geometry.pages_per_block;
         for (std::uint32_t i = 0; i < batch; ++i) {
-          std::optional<BackupEntry> e = f.queue_.PopOldest();
+          std::optional<BackupEntry> e = queue_.PopOldest();
           if (!e) break;
-          f.ReleaseBackup(*e, now);
-          ++f.stats_.forced_releases;
-          f.JournalAppend({JournalOpKind::kForcedRelease, /*flag=*/false, 0,
-                           nand::kInvalidPpa, nand::kInvalidPpa, 0, now, 0});
+          ReleaseBackup(*e, now);
+          ++stats_.forced_releases;
+          JournalAppend({JournalOpKind::kForcedRelease, /*flag=*/false, 0,
+                         nand::kInvalidPpa, nand::kInvalidPpa, 0, now, 0});
         }
         continue;
       }
       // The ring is dry. If the version store still pins archived objects,
       // sacrifice the oldest versions next — protected ranges degrade last,
       // but they do degrade before the device refuses writes.
-      if (f.store_.VersionCount() > 0) {
-        const std::uint32_t batch = f.config_.geometry.pages_per_block;
-        std::size_t freed = f.store_.EvictOldest(
-            batch, [&f](nand::Ppa p) {
-              f.ReleaseArchived(p);
-              ++f.stats_.archived_evictions;
-            });
+      if (store_.VersionCount() > 0) {
+        const std::uint32_t batch = config_.geometry.pages_per_block;
+        std::size_t freed = store_.EvictOldest(batch, [this](nand::Ppa p) {
+          ReleaseArchived(p);
+          ++stats_.archived_evictions;
+        });
         if (freed > 0) {
-          f.JournalAppend({JournalOpKind::kStoreEvict, /*flag=*/false, 0,
-                           batch, nand::kInvalidPpa, 0, now, 0});
+          JournalAppend({JournalOpKind::kStoreEvict, /*flag=*/false, 0, batch,
+                         nand::kInvalidPpa, 0, now, 0});
           continue;
         }
       }
-      ok = f.free_block_count_ > 0;
+      ok = free_block_count_ > 0;
       break;
     }
   }
-  f.stats_.gc_stall_time += now - start;
+  stats_.gc_stall_time += now - start;
   if (now > start) {
-    obs::EmitSpan(f.tracer_, "ftl.gc_stall", "ftl", 0, start, now,
-                  static_cast<std::int64_t>(f.free_block_count_),
+    obs::EmitSpan(tracer_, "ftl.gc_stall", "ftl", 0, start, now,
+                  static_cast<std::int64_t>(free_block_count_),
                   "free_blocks_after");
   }
-  if (f.gc_stall_hist_ != nullptr) {
-    f.gc_stall_hist_->Add(static_cast<double>(now - start));
+  if (gc_stall_hist_ != nullptr) {
+    gc_stall_hist_->Add(static_cast<double>(now - start));
   }
   return ok;
-}
-
-std::size_t GcEngine::BackgroundCollect(SimTime now, std::size_t max_blocks) {
-  PageFtl& f = ftl_;
-  const std::uint32_t max_movable = f.config_.geometry.pages_per_block - 1;
-  std::size_t reclaimed = 0;
-  SimTime t = now;
-  while (reclaimed < max_blocks &&
-         f.free_block_count_ < f.config_.gc_high_watermark_blocks) {
-    if (!CollectOne(t, max_movable)) break;
-    ++reclaimed;
-  }
-  f.stats_.gc_background_blocks += reclaimed;
-  return reclaimed;
-}
-
-std::size_t GcEngine::CollectCheap(SimTime now, std::size_t max_blocks,
-                                   std::uint32_t max_movable) {
-  PageFtl& f = ftl_;
-  const nand::Geometry& geo = f.config_.geometry;
-  // Idle GC only takes cheap wins; expensive relocation stays with the
-  // foreground path that actually needs space. The cap never admits a fully
-  // live block — copying all of it reclaims nothing.
-  const std::uint32_t cap =
-      std::min(max_movable, geo.pages_per_block - 1);
-  std::size_t reclaimed = 0;
-  SimTime t = now;
-  while (reclaimed < max_blocks) {
-    if (!CollectOne(t, cap)) break;
-    ++reclaimed;
-  }
-  return reclaimed;
 }
 
 }  // namespace insider::ftl

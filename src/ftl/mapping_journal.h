@@ -83,6 +83,8 @@ class MappingJournal {
 
   void Append(const JournalRecord& rec) { pending_.push_back(rec); }
   std::size_t PendingCount() const { return pending_.size(); }
+  /// Records packed into one metadata page: the flush batch size.
+  std::uint32_t RecordsPerPage() const { return records_per_page_; }
 
   /// Pending records live in DRAM; a power cut destroys them. Rebuild calls
   /// this before replaying so only media-durable pages contribute (the lost

@@ -49,9 +49,14 @@ std::uint64_t AuditStride(std::uint64_t total_pages) {
 }  // namespace
 
 bool PageFtl::AuditHooksEnabled() { return true; }
+#else
+bool PageFtl::AuditHooksEnabled() { return false; }
+#endif
 
-PageFtl::MutationAudit::~MutationAudit() {
+PageFtl::MutationScope::~MutationScope() {
+  ftl_.JournalFlushBatches(now_);
   if (--ftl_.audit_depth_ != 0) return;  // audit only the outermost mutation
+#ifdef INSIDER_AUDIT
   std::uint64_t stride = AuditStride(ftl_.config_.geometry.TotalPages());
   if (++ftl_.audit_tick_ % stride != 0) return;
   AuditReport report = InvariantAuditor::Audit(ftl_);
@@ -59,15 +64,7 @@ PageFtl::MutationAudit::~MutationAudit() {
   INSIDER_LOG_ERROR << "INSIDER_AUDIT failure after " << op_ << ":\n"
                     << report.Diff();
   std::abort();
-}
-#else
-bool PageFtl::AuditHooksEnabled() { return false; }
-
-PageFtl::MutationAudit::~MutationAudit() { --ftl_.audit_depth_; }
 #endif
-
-PageFtl::JournalBatchScope::~JournalBatchScope() {
-  ftl_.JournalFlushBatches(now_);
 }
 
 void PageFtl::JournalAppend(const JournalRecord& rec) {
@@ -78,7 +75,7 @@ void PageFtl::JournalAppend(const JournalRecord& rec) {
 
 void PageFtl::JournalFlushBatches(SimTime now) {
   if (!journal_.Enabled() || replaying_) return;
-  if (journal_.PendingCount() < kJournalRecordsPerPage) {
+  if (journal_.PendingCount() < journal_.RecordsPerPage()) {
     return;  // durability lags at most one page batch behind DRAM
   }
   SimTime complete = now;
@@ -106,8 +103,7 @@ void PageFtl::MaybeCheckpoint(SimTime now) {
 
 SimTime PageFtl::TakeCheckpoint(SimTime now) {
   if (!checkpoints_.Enabled() || replaying_) return now;
-  MutationAudit audit_scope(*this, "TakeCheckpoint");
-  JournalBatchScope journal_scope(*this, now);
+  MutationScope scope(*this, "TakeCheckpoint", now);
   SimTime complete = now;
   if (checkpoints_.Commit(BuildSnapshot(), now, &complete, &stats_)) {
     // The committed checkpoint supersedes every journal record: switch the
@@ -170,8 +166,7 @@ PageFtl::PageFtl(const FtlConfig& config)
       // store only receives the policy table when the config is sound.
       store_(retention_error_.ok() ? config.range_policies : nullptr),
       view_(config_.geometry, nand_, block_counters_, active_block_per_chip_,
-            block_health_),
-      gc_(*this) {
+            block_health_) {
   if (!retention_error_.ok()) {
     // A config that would retain nothing defeats the device's whole purpose;
     // refuse it loudly and run with the paper's default instead of silently
@@ -397,8 +392,7 @@ const nand::PageData* PageFtl::RawPage(nand::Ppa ppa) const {
 
 void PageFtl::ReleaseExpired(SimTime now) {
   if (!config_.delayed_deletion) return;
-  MutationAudit audit_scope(*this, "ReleaseExpired");
-  JournalBatchScope journal_scope(*this, now);
+  MutationScope scope(*this, "ReleaseExpired", now);
   const std::size_t ring_before = queue_.Size();
   const std::size_t trims_before = trim_journal_.size();
   const std::size_t store_before = store_.VersionCount();
@@ -541,15 +535,14 @@ void PageFtl::EnterDegraded() {
 FtlResult PageFtl::WritePage(Lba lba, nand::PageData data, SimTime now) {
   if (read_only_) return {FtlStatus::kReadOnly, now, {}};
   if (lba >= exported_lbas_) return {FtlStatus::kOutOfRange, now, {}};
-  MutationAudit audit_scope(*this, "WritePage");
-  JournalBatchScope journal_scope(*this, now);
+  MutationScope scope(*this, "WritePage", now);
   MaybeCheckpoint(now);
   ReleaseExpired(now);
-  gc_.DrainRetirements(now);
+  DrainRetirements(now);
   // Best-effort GC; the write only fails if no programmable page exists even
   // after collection (AllocatePage can still succeed from the active block
   // when the free pool is empty).
-  gc_.EnsureFreeSpace(now);
+  EnsureFreeSpace(now);
   data.oob.lba = lba;
   data.oob.written_at = now;
   const SimTime written_at = now;
@@ -577,8 +570,7 @@ FtlResult PageFtl::WritePage(Lba lba, nand::PageData data, SimTime now) {
 
 FtlResult PageFtl::ReadPage(Lba lba, SimTime now) {
   if (lba >= exported_lbas_) return {FtlStatus::kOutOfRange, now, {}};
-  MutationAudit audit_scope(*this, "ReadPage");
-  JournalBatchScope journal_scope(*this, now);
+  MutationScope scope(*this, "ReadPage", now);
   ReleaseExpired(now);
   nand::Ppa ppa = l2p_.Get(lba);
   if (ppa == nand::kInvalidPpa) return {FtlStatus::kUnmapped, now, {}};
@@ -610,8 +602,7 @@ FtlResult PageFtl::ReadPage(Lba lba, SimTime now) {
 FtlResult PageFtl::TrimPage(Lba lba, SimTime now) {
   if (read_only_) return {FtlStatus::kReadOnly, now, {}};
   if (lba >= exported_lbas_) return {FtlStatus::kOutOfRange, now, {}};
-  MutationAudit audit_scope(*this, "TrimPage");
-  JournalBatchScope journal_scope(*this, now);
+  MutationScope scope(*this, "TrimPage", now);
   MaybeCheckpoint(now);
   ReleaseExpired(now);
   nand::Ppa old = l2p_.Get(lba);
@@ -626,8 +617,8 @@ FtlResult PageFtl::TrimPage(Lba lba, SimTime now) {
     // the trimmed data. The trim journal ages the mapping out once the
     // retention window has passed. Best-effort: with the frontier dry the
     // trim still proceeds un-persisted (the pre-tombstone behavior).
-    gc_.DrainRetirements(now);
-    gc_.EnsureFreeSpace(now);
+    DrainRetirements(now);
+    EnsureFreeSpace(now);
     nand::PageData tomb;
     tomb.oob.lba = lba;
     tomb.oob.written_at = now;
@@ -716,8 +707,7 @@ std::size_t PageFtl::RollBackCore(SimTime detect_time,
 RollbackReport PageFtl::RollBack(SimTime detect_time) {
   RollbackReport report;
   if (!config_.delayed_deletion) return report;
-  MutationAudit audit_scope(*this, "RollBack");
-  JournalBatchScope journal_scope(*this, detect_time);
+  MutationScope scope(*this, "RollBack", detect_time);
   SetReadOnly(true);
   std::vector<Lba> touched;
   report.entries_reverted = RollBackCore(detect_time, &touched);
@@ -745,8 +735,7 @@ RangeRollbackReport PageFtl::RollBackRange(Lba begin, Lba end,
   report.begin = begin;
   report.end = std::min<Lba>(end, exported_lbas_);
   if (!config_.delayed_deletion || begin >= report.end) return report;
-  MutationAudit audit_scope(*this, "RollBackRange");
-  JournalBatchScope journal_scope(*this, now);
+  MutationScope scope(*this, "RollBackRange", now);
   const SimTime start = now;
   ReleaseExpired(now);
 
@@ -843,8 +832,8 @@ RangeRollbackReport PageFtl::RollBackRange(Lba begin, Lba end,
     data.oob.lba = lba;
     data.oob.written_at = now;
     const SimTime written_at = now;
-    gc_.DrainRetirements(now);
-    gc_.EnsureFreeSpace(now);
+    DrainRetirements(now);
+    EnsureFreeSpace(now);
     nand::Ppa fresh = ProgramWithRedrive(std::move(data), now);
     if (fresh == nand::kInvalidPpa) {
       ++report.failed;
@@ -874,22 +863,37 @@ RangeRollbackReport PageFtl::RollBackRange(Lba begin, Lba end,
 
 std::size_t PageFtl::BackgroundCollect(SimTime now, std::size_t max_blocks) {
   if (read_only_) return 0;
-  MutationAudit audit_scope(*this, "BackgroundCollect");
-  JournalBatchScope journal_scope(*this, now);
+  MutationScope scope(*this, "BackgroundCollect", now);
   MaybeCheckpoint(now);
   ReleaseExpired(now);
-  gc_.DrainRetirements(now);
-  return gc_.BackgroundCollect(now, max_blocks);
+  DrainRetirements(now);
+  // Never sacrifices backups: space pressure that severe belongs to the
+  // foreground path (EnsureFreeSpace).
+  const std::uint32_t max_movable = config_.geometry.pages_per_block - 1;
+  std::size_t reclaimed = 0;
+  while (reclaimed < max_blocks &&
+         free_block_count_ < config_.gc_high_watermark_blocks) {
+    if (!CollectOne(now, max_movable)) break;
+    ++reclaimed;
+  }
+  stats_.gc_background_blocks += reclaimed;
+  return reclaimed;
 }
 
 std::size_t PageFtl::IdleCollect(SimTime now, std::size_t max_blocks,
                                  std::uint32_t max_movable) {
   if (read_only_) return 0;
-  MutationAudit audit_scope(*this, "IdleCollect");
-  JournalBatchScope journal_scope(*this, now);
+  MutationScope scope(*this, "IdleCollect", now);
   MaybeCheckpoint(now);
   ReleaseExpired(now);
-  return gc_.CollectCheap(now, max_blocks, max_movable);
+  // Idle GC only takes cheap wins; expensive relocation stays with the
+  // foreground path that actually needs space. The cap never admits a fully
+  // live block — copying all of it reclaims nothing.
+  const std::uint32_t cap =
+      std::min(max_movable, config_.geometry.pages_per_block - 1);
+  std::size_t reclaimed = 0;
+  while (reclaimed < max_blocks && CollectOne(now, cap)) ++reclaimed;
+  return reclaimed;
 }
 
 void PageFtl::WipeVolatileState() {
@@ -1474,8 +1478,7 @@ bool PageFtl::DeltaScan(RebuildReport& report) {
 }
 
 PageFtl::RebuildReport PageFtl::RebuildFromNand(SimTime now) {
-  MutationAudit audit_scope(*this, "RebuildFromNand");
-  JournalBatchScope journal_scope(*this, now);
+  MutationScope scope(*this, "RebuildFromNand", now);
   RebuildReport report;
 
   // The scans below read page contents directly; with a sharded engine
@@ -1557,7 +1560,7 @@ PageFtl::RebuildReport PageFtl::RebuildFromNand(SimTime now) {
   // no longer guards).
   ReleaseExpired(now);
   SimTime t = now;
-  gc_.DrainRetirements(t);
+  DrainRetirements(t);
   if (checkpoints_.Enabled()) {
     // Fresh baseline: the rebuilt state becomes the next checkpoint, so the
     // journal restarts empty and a repeat crash rebuilds in O(Δ) again.

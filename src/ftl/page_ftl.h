@@ -15,17 +15,17 @@
 //
 // This class owns the translation *state* (L2P/P2L tables, page states,
 // per-block counters, free pools, the recovery queue), the host-facing I/O
-// mechanics, round-robin write striping across chips, and the retention
-// window that both expiry and rollback measure against. Two pieces live
-// elsewhere:
-//
-//   VictimPolicy      which full block GC reclaims next (policy.h; greedy
-//                     or cost-benefit, swappable at runtime)
-//   GcEngine          the reclamation mechanics (foreground / background /
-//                     idle), driving the victim policy
-//
+// mechanics, round-robin write striping across chips, the retention window
+// that both expiry and rollback measure against, and the garbage-collection
+// mechanics (gc_engine.cc: foreground / background / idle reclamation). One
+// piece lives elsewhere: the VictimPolicy that picks which full block GC
+// reclaims next (policy.h; greedy or cost-benefit, swappable at runtime).
 // The greedy default reproduces the pre-split monolith stat-for-stat — the
 // gc_policy parity test pins this.
+//
+// Every public mutating entry point opens one MutationScope, which flushes
+// full journal batches and (under INSIDER_AUDIT) audits every invariant when
+// the op returns.
 #pragma once
 
 #include <cstdint>
@@ -41,7 +41,6 @@
 #include "common/time.h"
 #include "ftl/checkpoint.h"
 #include "ftl/ftl_types.h"
-#include "ftl/gc_engine.h"
 #include "ftl/mapping_journal.h"
 #include "ftl/policy.h"
 #include "ftl/recovery_queue.h"
@@ -137,14 +136,14 @@ class PageFtl {
   /// (== `now` when checkpointing is disabled or the commit aborted early).
   SimTime TakeCheckpoint(SimTime now);
 
-  /// Reserved metadata blocks (checkpoint buffers + journal regions); these
-  /// never hold host data and are excluded from GC and the free pools.
   /// Force every pending journal record durable at `now` (the batched path
   /// flushes only full pages). False when the flush tore — power-cut probe,
   /// metadata fault, or region overflow. Crash harnesses use this to park
   /// the device mid-journal-flush at the instant of death.
   bool FlushJournal(SimTime now);
 
+  /// Reserved metadata blocks (checkpoint buffers + journal regions); these
+  /// never hold host data and are excluded from GC and the free pools.
   std::size_t MetadataBlockCount() const { return metadata_blocks_.size(); }
   const MappingJournal& Journal() const { return journal_; }
   const CheckpointStore& Checkpoints() const { return checkpoints_; }
@@ -268,47 +267,31 @@ class PageFtl {
   std::string CheckInvariants() const;
 
  private:
-  friend class GcEngine;  // the engine mutates mapping state via the helpers
-                          // below; it lives in gc_engine.cc to keep the
-                          // mechanics out of the mapping core
   friend class InvariantAuditor;  // read-only cross-layer state audit
   friend class FtlStateTamperer;  // test-only corruption injector proving
                                   // the auditor detects each violation class
 
-  /// RAII hook the public mutating entry points open. Under INSIDER_AUDIT
-  /// its destructor runs a full InvariantAuditor pass once the outermost
-  /// scope closes (the depth counter keeps internally nested entry points —
-  /// e.g. ReleaseExpired inside WritePage — from auditing twice) and aborts
-  /// with the structured diff on any violation. Without the option the
-  /// destructor is a no-op.
-  class MutationAudit {
+  /// RAII scope every public mutating entry point opens first. Its
+  /// destructor flushes the full journal batches the op appended, at the
+  /// `now` captured on entry — nested scopes too — so journal durability
+  /// lags at most one batch behind DRAM. Then, under INSIDER_AUDIT, the
+  /// outermost scope runs a full InvariantAuditor pass (the depth counter
+  /// keeps internally nested entry points — e.g. ReleaseExpired inside
+  /// WritePage — from auditing twice) and aborts with the structured diff on
+  /// any violation.
+  class MutationScope {
    public:
-    MutationAudit(const PageFtl& ftl, const char* op)
-        : ftl_(ftl), op_(op) {
+    MutationScope(PageFtl& ftl, const char* op, SimTime now)
+        : ftl_(ftl), op_(op), now_(now) {
       ++ftl_.audit_depth_;
     }
-    ~MutationAudit();
-    MutationAudit(const MutationAudit&) = delete;
-    MutationAudit& operator=(const MutationAudit&) = delete;
-
-   private:
-    const PageFtl& ftl_;
-    const char* op_;
-  };
-
-  /// RAII journal hook every mutating entry point opens right next to its
-  /// MutationAudit (the insider_lint `journal-hook` rule pins the pairing).
-  /// On scope exit it flushes any full record batches accumulated by the op,
-  /// so journal durability lags a bounded number of records behind DRAM.
-  class JournalBatchScope {
-   public:
-    JournalBatchScope(PageFtl& ftl, SimTime now) : ftl_(ftl), now_(now) {}
-    ~JournalBatchScope();
-    JournalBatchScope(const JournalBatchScope&) = delete;
-    JournalBatchScope& operator=(const JournalBatchScope&) = delete;
+    ~MutationScope();
+    MutationScope(const MutationScope&) = delete;
+    MutationScope& operator=(const MutationScope&) = delete;
 
    private:
     PageFtl& ftl_;
+    const char* op_;
     SimTime now_;
   };
 
@@ -321,8 +304,8 @@ class PageFtl {
   /// Append a redo record (no-op when the journal is disabled or a rebuild
   /// is replaying — replay must never re-journal its own effects).
   void JournalAppend(const JournalRecord& rec);
-  /// Flush full batches (records_per_page granularity); JournalBatchScope's
-  /// destructor body.
+  /// Flush full batches (records_per_page granularity); run by every
+  /// MutationScope's destructor.
   void JournalFlushBatches(SimTime now);
   /// Flush everything pending; false when the journal could not be made
   /// durable (the GC erase-intent protocol refuses to erase on false).
@@ -354,6 +337,38 @@ class PageFtl {
   /// no read-only latch, no obs).
   std::size_t RollBackCore(SimTime detect_time,
                            std::vector<Lba>* touched_out);
+
+  // Garbage collection (gc_engine.cc) -------------------------------------
+  //
+  // Three callers share the relocation mechanics, so retained backups are
+  // honored identically everywhere: EnsureFreeSpace (a host write blocked at
+  // the hard floor — the stall FtlStats::gc_stall_time measures),
+  // BackgroundCollect (watermark refill in host-idle gaps) and IdleCollect
+  // (cheap victims only). The VictimPolicy picks victims; these copy live
+  // pages to fresh frontiers, repoint mappings, queue guards and store
+  // objects, absorb uncorrectable-ECC losses, erase, and recycle the block.
+
+  /// Foreground: run GC until the free pool exceeds the hard floor,
+  /// accumulating NAND time into `now` (the caller's write blocks for all
+  /// of it). Falls back to sacrificing the oldest backups — then the oldest
+  /// archived versions — when nothing is reclaimable. Returns false if the
+  /// device is genuinely full.
+  bool EnsureFreeSpace(SimTime& now);
+  /// Evacuate and retire every block flagged pending-retire (a program
+  /// fault was observed on it). Returns false when the frontier ran dry
+  /// mid-evacuation — the remaining blocks stay flagged and are retried on
+  /// the next call.
+  bool DrainRetirements(SimTime& now);
+  /// Select (via the victim policy) and reclaim one block. Returns false
+  /// when no victim qualifies or relocation ran out of frontier space.
+  bool CollectOne(SimTime& now, std::uint32_t max_movable);
+  /// Relocate every live page out of `victim`, then erase and recycle it —
+  /// or retire it on an erase fault. Returns false if the allocation
+  /// frontier ran dry mid-copy (block left un-erased).
+  bool CollectVictim(std::uint32_t victim, SimTime& now);
+  /// Relocate every live (valid/retained/archived) page out of `block_id`
+  /// to fresh frontiers. Returns false if the frontier ran dry mid-copy.
+  bool EvacuateBlock(std::uint32_t block_id, SimTime& now);
 
   /// Round-robin chip striping: consecutive allocations walk the chips so a
   /// burst of writes spreads across every channel/way. Chips that can supply
@@ -449,9 +464,9 @@ class PageFtl {
   /// pass: every live entry must be younger than this (the auditor's
   /// in-window check Q3).
   SimTime last_release_horizon_ = std::numeric_limits<SimTime>::min();
-  /// MutationAudit nesting depth and mutation counter (see INSIDER_AUDIT).
-  mutable std::uint32_t audit_depth_ = 0;
-  mutable std::uint64_t audit_tick_ = 0;
+  /// MutationScope nesting depth and mutation counter (see INSIDER_AUDIT).
+  std::uint32_t audit_depth_ = 0;
+  std::uint64_t audit_tick_ = 0;
 
   /// Grown-bad-block state (persists across power loss, like a real bad
   /// block table) and the blocks queued for evacuation + retirement.
@@ -478,7 +493,6 @@ class PageFtl {
   /// range_policies); inert when no ranges are configured.
   version::VersionStore store_;
   PolicyView view_;
-  GcEngine gc_;
 
   /// Reserved metadata block ids (checkpoint buffers then journal regions);
   /// empty when CheckpointConfig::enabled is false.

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/rng.h"
+#include "host/scenario.h"
 #include "host/ssd.h"
 #include "host/ssd_target.h"
 #include "io/io_engine.h"
@@ -36,17 +37,6 @@ std::vector<char> ScatterMarks(std::size_t k, std::size_t n) {
   }
   return marks;
 }
-
-// Fixed rotation of Table-I backgrounds (same set the interleaved
-// experiment uses) so a fleet covers every Fig. 7 category.
-constexpr wl::AppKind kTenantApps[] = {
-    wl::AppKind::kWebSurfing,      wl::AppKind::kP2pDownload,
-    wl::AppKind::kOutlookSync,     wl::AppKind::kSqliteMessenger,
-    wl::AppKind::kInstall,         wl::AppKind::kOsUpdate,
-    wl::AppKind::kVideoDecode,     wl::AppKind::kCompression,
-};
-constexpr std::size_t kTenantAppCount =
-    sizeof(kTenantApps) / sizeof(kTenantApps[0]);
 
 }  // namespace
 

@@ -7,6 +7,8 @@
 // measure detection of *unknown* ransomware.
 #pragma once
 
+#include <cstddef>
+#include <iterator>
 #include <optional>
 #include <string>
 #include <vector>
@@ -34,6 +36,17 @@ struct ScenarioSpec {
 std::vector<ScenarioSpec> TrainingScenarios();
 /// Table I, "For testing" rows.
 std::vector<ScenarioSpec> TestingScenarios();
+
+/// Fixed rotation of Table-I backgrounds covering every Fig. 7 category:
+/// the fleet and the interleaved experiment give their n-th benign tenant
+/// kTenantApps[n % kTenantAppCount].
+inline constexpr wl::AppKind kTenantApps[] = {
+    wl::AppKind::kWebSurfing,  wl::AppKind::kP2pDownload,
+    wl::AppKind::kOutlookSync, wl::AppKind::kSqliteMessenger,
+    wl::AppKind::kInstall,     wl::AppKind::kOsUpdate,
+    wl::AppKind::kVideoDecode, wl::AppKind::kCompression,
+};
+inline constexpr std::size_t kTenantAppCount = std::size(kTenantApps);
 
 struct ScenarioConfig {
   SimTime duration = Seconds(60);

@@ -430,6 +430,79 @@ TEST(CheckpointRebuildTest, DedupedVersionStoreSurvivesCrashExactly) {
 }
 
 // ---------------------------------------------------------------------------
+// Mutation scope: every public mutating entry point opens one
+// PageFtl::MutationScope, whose destructor flushes full journal batches. So
+// when any entry point returns, fewer than one page batch of redo records is
+// still volatile — the durability bound a crash relies on.
+
+TEST(MutationScopeTest, EveryEntryPointLeavesLessThanOneBatchPending) {
+  ftl::FtlConfig config = CheckpointedFtl();
+  config.geometry = nand::Geometry{.channels = 2,
+                                   .ways = 2,
+                                   .blocks_per_chip = 64,
+                                   .pages_per_block = 16,
+                                   .page_size = 4096};
+  // Background GC keeps collecting while any victim qualifies.
+  config.gc_high_watermark_blocks = 256;
+  ftl::PageFtl ftl(config);
+  ASSERT_TRUE(ftl.CheckpointEnabled());
+  const std::size_t batch = ftl.Journal().RecordsPerPage();
+  ASSERT_GT(batch, 1u);
+  const Lba lbas = static_cast<Lba>(2 * batch);  // two batches' worth
+  ASSERT_LE(lbas, ftl.ExportedLbas());
+
+  auto bounded = [&](const char* op) {
+    EXPECT_LT(ftl.Journal().PendingCount(), batch) << "after " << op;
+  };
+
+  SimTime t = Milliseconds(1);
+  for (Lba lba = 0; lba < lbas; ++lba, t += Milliseconds(1)) {
+    ASSERT_TRUE(ftl.WritePage(lba, Page(lba), t).ok());
+    bounded("WritePage");
+  }
+  const SimTime first_versions = t;
+  for (Lba lba = 0; lba < lbas; ++lba, t += Milliseconds(1)) {
+    ASSERT_TRUE(ftl.WritePage(lba, Page(1000 + lba), t).ok());
+    bounded("WritePage (overwrite)");
+  }
+  for (Lba lba = 0; lba < lbas; ++lba) {
+    ASSERT_TRUE(ftl.ReadPage(lba, t).ok());
+    bounded("ReadPage");
+  }
+  for (Lba lba = 0; lba < static_cast<Lba>(batch); ++lba) {
+    ASSERT_TRUE(ftl.TrimPage(lba, t).ok());
+    bounded("TrimPage");
+  }
+  (void)ftl.TakeCheckpoint(t);
+  bounded("TakeCheckpoint");
+  t += Milliseconds(1);
+  (void)ftl.BackgroundCollect(t, 64);
+  bounded("BackgroundCollect");
+  (void)ftl.IdleCollect(t, 64, config.geometry.pages_per_block - 1);
+  bounded("IdleCollect");
+
+  // One call appends a record per restored LBA: more than a batch at once.
+  const std::uint64_t appended = ftl.Stats().journal_records_appended;
+  ftl::RangeRollbackReport range =
+      ftl.RollBackRange(0, lbas, first_versions, t);
+  bounded("RollBackRange");
+  EXPECT_GE(range.restored + range.unmapped, batch);
+  EXPECT_GE(ftl.Stats().journal_records_appended - appended, batch);
+
+  ftl.SetReadOnly(true);
+  (void)ftl.RollBack(t);
+  bounded("RollBack");
+  ftl::PageFtl::RebuildReport rebuilt = ftl.RebuildFromNand(t);
+  bounded("RebuildFromNand");
+  EXPECT_TRUE(rebuilt.used_checkpoint);
+  ftl.ReleaseExpired(t + Seconds(20));
+  bounded("ReleaseExpired");
+
+  EXPECT_GT(ftl.Stats().journal_pages_flushed, 0u);
+  EXPECT_EQ(ftl.CheckInvariants(), "");
+}
+
+// ---------------------------------------------------------------------------
 // Host layer: firmware task, crash windows, detector-state loss.
 
 host::SsdConfig CheckpointedSsd() {

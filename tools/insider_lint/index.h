@@ -7,9 +7,8 @@
 //     include-cycle DFS and the layer-dag architecture check;
 //   - function declarators with their parameter lists and brace-matched
 //     bodies (token ranges), the scope unit for `lane-sync`
-//     (drain-before-raw-read inside one body), `journal-hook`
-//     (MutationAudit/JournalBatchScope in one scope) and `simtime-cast`
-//     (names declared SimTime in the enclosing function).
+//     (drain-before-raw-read inside one body) and `simtime-cast` (names
+//     declared SimTime in the enclosing function).
 //
 // Everything here is heuristic token-pattern matching, tuned to this
 // repository's idiom and pinned by the clean-tree gate: if the heuristics

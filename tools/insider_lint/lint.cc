@@ -259,63 +259,6 @@ void RulePragmaOnce(const FileCtx& ctx, std::vector<Finding>& out) {
       {ctx.path, 0, 0, "pragma-once", "header is missing #pragma once"});
 }
 
-/// An instantiation `TypeName var(` — declarations (`TypeName f();` at class
-/// scope reads the same) are told apart well enough for these two RAII
-/// types, which are only ever instantiated.
-bool IsInstantiation(const std::vector<Token>& toks, std::size_t i) {
-  std::size_t name = NextCode(toks, i + 1);
-  if (name >= toks.size() || toks[name].kind != TokKind::kIdentifier) {
-    return false;
-  }
-  std::size_t paren = NextCode(toks, name + 1);
-  return paren < toks.size() &&
-         (IsPunct(toks[paren], "(") || IsPunct(toks[paren], "{"));
-}
-
-void RuleJournalHook(const FileCtx& ctx, std::vector<Finding>& out) {
-  const auto& toks = ctx.index.tokens;
-  for (const FunctionInfo& fn : ctx.index.functions) {
-    if (fn.body_end == 0) continue;
-    // One pass with a brace stack: record each MutationAudit's chain of
-    // enclosing blocks and each JournalBatchScope's innermost block.
-    std::vector<std::size_t> stack = {fn.body_begin};
-    struct Audit {
-      std::size_t token;
-      std::vector<std::size_t> blocks;
-    };
-    std::vector<Audit> audits;
-    std::set<std::size_t> scope_blocks;  // blocks holding a JournalBatchScope
-    for (std::size_t i = fn.body_begin + 1; i < fn.body_end; ++i) {
-      const Token& t = toks[i];
-      if (IsComment(t)) continue;
-      if (IsPunct(t, "{")) {
-        stack.push_back(i);
-      } else if (IsPunct(t, "}")) {
-        if (stack.size() > 1) stack.pop_back();
-      } else if (IsIdent(t, "MutationAudit") && IsInstantiation(toks, i)) {
-        audits.push_back({i, stack});
-      } else if (IsIdent(t, "JournalBatchScope") && IsInstantiation(toks, i)) {
-        scope_blocks.insert(stack.back());
-      }
-    }
-    for (const Audit& a : audits) {
-      bool paired = false;
-      for (std::size_t b : a.blocks) {
-        if (scope_blocks.count(b) != 0) {
-          paired = true;
-          break;
-        }
-      }
-      if (!paired) {
-        Emit(out, ctx, toks[a.token], "journal-hook",
-             "audited mutating entry point without a JournalBatchScope in an "
-             "enclosing scope; redo records must batch-flush with the op "
-             "(src/ftl/mapping_journal.h)");
-      }
-    }
-  }
-}
-
 /// Module of a path under src/ ("src/ftl/page_ftl.cc" -> "ftl"), or "".
 std::string ModuleOf(const std::string& path) {
   std::size_t pos = path.rfind("src/");
@@ -486,7 +429,6 @@ std::vector<Finding> EvaluateFile(const std::string& path,
   if (enabled("raw-output")) RuleRawOutput(ctx, findings);
   if (enabled("raw-thread")) RuleRawThread(ctx, findings);
   if (enabled("pragma-once")) RulePragmaOnce(ctx, findings);
-  if (enabled("journal-hook")) RuleJournalHook(ctx, findings);
   if (enabled("layer-dag")) RuleLayerDag(ctx, findings);
   if (enabled("lane-sync")) RuleLaneSync(ctx, findings);
   if (enabled("simtime-cast")) RuleSimtimeCast(ctx, findings);
@@ -517,8 +459,6 @@ const std::vector<RuleInfo>& AllRules() {
        "thread primitive outside the sharded runtime (src/io/shard_*)"},
       {"pragma-once", "header missing #pragma once"},
       {"include-cycle", "quoted project includes must form a DAG"},
-      {"journal-hook",
-       "MutationAudit without a JournalBatchScope in an enclosing scope"},
       {"layer-dag",
        "include violates the module layering table (DESIGN.md §14)"},
       {"lane-sync",
@@ -574,12 +514,13 @@ std::vector<Finding> LintSource(const std::string& path_label,
 }
 
 std::vector<Finding> CheckIncludeCycles(
-    const std::vector<std::pair<std::string, std::string>>& headers) {
+    const std::vector<std::pair<std::string, std::vector<IncludeEdge>>>&
+        headers) {
   std::map<std::string, std::vector<std::string>> edges;
   std::set<std::string> known;
   for (const auto& [name, _] : headers) known.insert(name);
-  for (const auto& [name, content] : headers) {
-    for (const IncludeEdge& inc : BuildIndex(content).includes) {
+  for (const auto& [name, includes] : headers) {
+    for (const IncludeEdge& inc : includes) {
       if (!inc.angled && known.count(inc.spelling) != 0) {
         edges[name].push_back(inc.spelling);
       }
@@ -620,7 +561,7 @@ std::vector<Finding> LintTree(const std::vector<std::filesystem::path>& roots,
                               const Options& options) {
   namespace fs = std::filesystem;
   std::vector<Finding> findings;
-  std::vector<std::pair<std::string, std::string>> headers;
+  std::vector<std::pair<std::string, std::vector<IncludeEdge>>> headers;
   static const std::set<std::string> kExtensions = {".h", ".hpp", ".cc",
                                                     ".cpp", ".cxx"};
   for (const fs::path& root : roots) {
@@ -644,17 +585,16 @@ std::vector<Finding> LintTree(const std::vector<std::filesystem::path>& roots,
       std::ifstream in(entry.path(), std::ios::binary);
       std::ostringstream buf;
       buf << in.rdbuf();
-      const std::string content = buf.str();
-      std::vector<Finding> file_findings =
-          EvaluateFile(label, BuildIndex(content), options);
+      TuIndex index = BuildIndex(buf.str());
+      std::vector<Finding> file_findings = EvaluateFile(label, index, options);
       findings.insert(findings.end(),
                       std::make_move_iterator(file_findings.begin()),
                       std::make_move_iterator(file_findings.end()));
-      if (IsHeaderPath(label)) {
-        std::size_t pos = label.rfind("src/");
-        if (pos != std::string::npos) {
-          headers.emplace_back(label.substr(pos + 4), content);
-        }
+      // The include-cycle pass reuses this index's edges: each file is
+      // lexed exactly once per tree scan.
+      std::size_t pos = label.rfind("src/");
+      if (IsHeaderPath(label) && pos != std::string::npos) {
+        headers.emplace_back(label.substr(pos + 4), std::move(index.includes));
       }
     }
   }

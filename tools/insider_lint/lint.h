@@ -2,14 +2,15 @@
 //
 // The simulator's results are only reproducible if every component runs on
 // the deterministic substrate: virtual SimTime microseconds, the seeded
-// SplitMix64 Rng, one totally-ordered event stream, and the journal/audit
-// discipline around every mapping mutation. Generic linters cannot know
-// these rules, and the compiler cannot see them. v2 lexes each file into a
-// token stream (tokenizer.h), builds a per-TU structural index (index.h —
-// include edges, function declarators, brace-matched bodies), and matches
-// rules against that. Status hygiene is not a lint rule: the status types
-// and Try* calls are [[nodiscard]] and the build compiles with
-// -Werror=unused-result, which tests/compile_fail/ pins.
+// SplitMix64 Rng, one totally-ordered event stream and a layered module
+// graph. Generic linters cannot know these rules, and the compiler cannot
+// see them. v2 lexes each file into a token stream (tokenizer.h), builds a
+// per-TU structural index (index.h — include edges, function declarators,
+// brace-matched bodies), and matches rules against that. What the type
+// system can enforce is not a lint rule: the status types and Try* calls are
+// [[nodiscard]] under -Werror=unused-result (tests/compile_fail/ pins it),
+// and every FTL mutation opens one PageFtl::MutationScope that both flushes
+// the journal and audits (MutationScopeTest in checkpoint_journal_test.cc).
 //
 // Rules (ids as printed and as accepted by --rule=; see AllRules()):
 //
@@ -30,11 +31,6 @@
 //                      the log substrate's level atomic.
 //   pragma-once        every header must carry #pragma once.
 //   include-cycle      quoted project includes must form a DAG.
-//   journal-hook       a MutationAudit instantiation must have a
-//                      JournalBatchScope instantiated in an enclosing brace
-//                      scope of the same function body (v2: brace-aware —
-//                      a scope in a neighbouring function no longer
-//                      satisfies the rule the way v1's ±3-line window did).
 //   layer-dag          includes between src/ modules must follow the
 //                      architecture DAG in DESIGN.md §14 (the table in
 //                      LayerAllowedDeps() is the machine-readable copy).
@@ -56,6 +52,8 @@
 #include <set>
 #include <string>
 #include <vector>
+
+#include "index.h"
 
 namespace insider::lint {
 
@@ -98,9 +96,11 @@ std::vector<Finding> LintSource(const std::string& path_label,
                                 const Options& options = {});
 
 /// Cross-file pass: detect a cycle among quoted project includes.
-/// `headers` maps include-spelling (e.g. "ftl/page_ftl.h") to file content.
+/// `headers` maps include-spelling (e.g. "ftl/page_ftl.h") to the include
+/// edges of that header's index.
 std::vector<Finding> CheckIncludeCycles(
-    const std::vector<std::pair<std::string, std::string>>& headers);
+    const std::vector<std::pair<std::string, std::vector<IncludeEdge>>>&
+        headers);
 
 /// Walk the given roots (skipping any path containing "testdata"), lint
 /// every C++ source/header, then check the include graph over headers

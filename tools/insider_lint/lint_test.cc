@@ -48,7 +48,7 @@ fs::path Testdata() { return fs::path(INSIDER_LINT_TESTDATA); }
 
 TEST(InsiderLintTest, RegistryListsEveryRuleOnce) {
   const auto& rules = AllRules();
-  EXPECT_EQ(rules.size(), 12u);
+  EXPECT_EQ(rules.size(), 11u);
   std::set<std::string> ids;
   for (const RuleInfo& r : rules) {
     EXPECT_FALSE(r.summary.empty()) << r.id;
@@ -59,7 +59,8 @@ TEST(InsiderLintTest, RegistryListsEveryRuleOnce) {
   EXPECT_TRUE(ids.count("lane-sync"));
   EXPECT_TRUE(ids.count("simtime-cast"));
   // Status hygiene is the compiler's ([[nodiscard]] + -Werror=unused-result),
-  // and there is no suppression syntax to go stale.
+  // journal/audit pairing is one RAII type (PageFtl::MutationScope), and
+  // there is no suppression syntax to go stale.
   EXPECT_FALSE(IsKnownRule("discarded-status"));
   EXPECT_FALSE(IsKnownRule("unused-suppression"));
   EXPECT_FALSE(IsKnownRule("no-such-rule"));
@@ -156,9 +157,11 @@ TEST(InsiderLintTest, FlagsNakedTimestampAndMissingPragmaFixture) {
 }
 
 TEST(InsiderLintTest, FlagsIncludeCycleFixture) {
-  std::vector<std::pair<std::string, std::string>> headers = {
-      {"cycle/cycle_a.h", ReadFile(Testdata() / "src/cycle/cycle_a.h")},
-      {"cycle/cycle_b.h", ReadFile(Testdata() / "src/cycle/cycle_b.h")},
+  std::vector<std::pair<std::string, std::vector<IncludeEdge>>> headers = {
+      {"cycle/cycle_a.h",
+       BuildIndex(ReadFile(Testdata() / "src/cycle/cycle_a.h")).includes},
+      {"cycle/cycle_b.h",
+       BuildIndex(ReadFile(Testdata() / "src/cycle/cycle_b.h")).includes},
   };
   auto findings = CheckIncludeCycles(headers);
   ASSERT_TRUE(HasRule(findings, "include-cycle"));
@@ -218,57 +221,6 @@ TEST(InsiderLintTest, RawThreadRuleExemptsTheShardRuntime) {
   EXPECT_FALSE(HasRule(
       LintSource("src/nand/deferred.h", "// no std::thread here\n"),
       "raw-thread"));
-}
-
-// ---------------------------------------------------------------------------
-// journal-hook v2: brace-aware pairing.
-// ---------------------------------------------------------------------------
-
-TEST(InsiderLintTest, FlagsJournalHookFixtureScopeAware) {
-  auto findings = LintSource("testdata/bad_journal_hook.cc",
-                             ReadFile(Testdata() / "bad_journal_hook.cc"));
-  // TrimPageBad (no scope), TrimPageStillBad (scope in the neighbouring
-  // function — v1's ±3-line window wrongly accepted this), ScopeDiesEarly
-  // (scope in a nested block that closes before the audit). TrimPageGood
-  // pairs correctly and must NOT fire.
-  EXPECT_EQ(CountRule(findings, "journal-hook"), 3u) << findings.size();
-  for (const Finding& f : findings) {
-    EXPECT_NE(f.line, 45u) << "TrimPageGood is paired: " << Format(f);
-  }
-}
-
-TEST(InsiderLintTest, JournalHookRuleAcceptsThePairedPrologue) {
-  // The idiomatic entry-point prologue: audit hook and journal batching
-  // scope opened together. Declarations and the class definition are not
-  // instantiations and never trip the rule.
-  const std::string paired =
-      "void PageFtl::TrimPage(Lba lba, SimTime now) {\n"
-      "  MutationAudit audit_scope(*this, \"TrimPage\");\n"
-      "  JournalBatchScope journal_scope(*this, now);\n"
-      "}\n";
-  EXPECT_FALSE(
-      HasRule(LintSource("src/ftl/page_ftl.cc", paired), "journal-hook"));
-  const std::string declarations =
-      "#pragma once\n"
-      "class MutationAudit {\n"
-      "  MutationAudit(const PageFtl& ftl, const char* op);\n"
-      "  ~MutationAudit();\n"
-      "  MutationAudit(const MutationAudit&) = delete;\n"
-      "};\n";
-  EXPECT_TRUE(LintSource("src/ftl/page_ftl.h", declarations).empty());
-}
-
-TEST(InsiderLintTest, JournalHookAcceptsScopeInOuterBlock) {
-  // A scope opened in an ANCESTOR block stays alive at the audit point.
-  const std::string outer =
-      "void PageFtl::WriteBatch(SimTime now) {\n"
-      "  JournalBatchScope journal_scope(*this, now);\n"
-      "  if (dirty_) {\n"
-      "    MutationAudit audit_scope(*this, \"WriteBatch\");\n"
-      "  }\n"
-      "}\n";
-  EXPECT_FALSE(
-      HasRule(LintSource("src/ftl/page_ftl.cc", outer), "journal-hook"));
 }
 
 // ---------------------------------------------------------------------------
