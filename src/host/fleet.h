@@ -100,6 +100,8 @@ struct FleetTenantResult {
   std::uint64_t submitted = 0;
   std::uint64_t completed = 0;
   std::uint64_t errors = 0;
+  /// Times the tenant found its queue pair full and the pair parked until
+  /// a completion freed it (wl::TenantResult::stall_events).
   std::uint64_t stalls = 0;
   /// Submit-to-complete latency (µs) from the tenant's whole-run histogram
   /// (p99 is its upper bucket edge); NaN when nothing completed.

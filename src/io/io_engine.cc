@@ -129,7 +129,7 @@ std::optional<Completion> IoEngine::PopCompletion(QueueId q) {
 bool IoEngine::Step() {
   // Dispatch-eligible pairs: a queued command, and guaranteed room to post
   // its completion later (in-flight commands reserve completion slots).
-  std::vector<std::size_t> eligible;
+  eligible_.clear();
   SimTime earliest_dispatch = std::numeric_limits<SimTime>::max();
   for (std::size_t i = 0; i < pairs_.size(); ++i) {
     const QueuePair& pair = pairs_[i];
@@ -138,13 +138,13 @@ bool IoEngine::Step() {
       ++stats_.cq_stalls;
       continue;
     }
-    eligible.push_back(i);
+    eligible_.push_back(i);
     SimTime head = pair.sq().Peek()->request.time;
     SimTime effective = head > clock_ ? head : clock_;
     if (effective < earliest_dispatch) earliest_dispatch = effective;
   }
 
-  bool can_dispatch = !eligible.empty();
+  bool can_dispatch = !eligible_.empty();
   bool can_complete = !in_flight_.empty();
   if (!can_dispatch && !can_complete) return false;
 
@@ -215,13 +215,13 @@ bool IoEngine::Step() {
 
   // Dispatch: heads tied at the earliest effective time compete; the
   // arbiter picks the winner.
-  std::vector<std::size_t> candidates;
-  for (std::size_t i : eligible) {
+  candidates_.clear();
+  for (std::size_t i : eligible_) {
     SimTime head = pairs_[i].sq().Peek()->request.time;
     SimTime effective = head > clock_ ? head : clock_;
-    if (effective == earliest_dispatch) candidates.push_back(i);
+    if (effective == earliest_dispatch) candidates_.push_back(i);
   }
-  std::size_t chosen = arbiter_.Pick(candidates);
+  std::size_t chosen = arbiter_.Pick(candidates_);
   QueuePair& pair = pairs_[chosen];
   Command cmd = *pair.sq().TryPop();
 
@@ -238,7 +238,7 @@ bool IoEngine::Step() {
                 static_cast<std::int64_t>(cmd.request.lba), "lba");
   obs::EmitInstant(tracer_, "engine.arbitration", "engine", cmd.queue,
                    earliest_dispatch,
-                   static_cast<std::int64_t>(candidates.size()),
+                   static_cast<std::int64_t>(candidates_.size()),
                    "candidates");
 
   // Access control happens here, between arbitration and the device: lock

@@ -1,7 +1,10 @@
 #include "workload/multi_tenant.h"
 
+#include <functional>
 #include <limits>
+#include <queue>
 #include <unordered_map>
+#include <utility>
 
 namespace insider::wl {
 
@@ -71,9 +74,31 @@ MultiTenantReport MultiTenantDriver::Run(io::IoEngine& engine) {
     }
   };
 
+  // Tenants free to submit, keyed (next request time, index): the key is
+  // unique per tenant, so pops come in global time order with ties to the
+  // lower index. With tenants sharing a pair that order matters: letting
+  // one tenant burst its whole backlog into the ring would park far-future
+  // commands in front of ring-mates' earlier ones (SQs are FIFO) and
+  // manufacture queue wait the device never caused.
+  using Ready = std::pair<SimTime, std::size_t>;
+  std::priority_queue<Ready, std::vector<Ready>, std::greater<Ready>> ready;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!tenants_[i].requests.empty()) {
+      ready.emplace(tenants_[i].requests.front().time, i);
+    }
+  }
+  // parked[q]: the tenants waiting on pair q, non-empty exactly while q is
+  // parked. A pair parks when it refuses a submission and wakes when the
+  // host reaps a completion from it: its outstanding count (queued +
+  // executing + unreaped) only falls on a reap, so any retry before then is
+  // known to be refused.
+  std::vector<std::vector<std::size_t>> parked(queues);
+
   auto reap_queue = [&](std::size_t q) {
+    bool reaped = false;
     while (std::optional<io::Completion> c =
                engine.PopCompletion(static_cast<io::QueueId>(q))) {
+      reaped = true;
       if (c->complete_time > report.end_time) {
         report.end_time = c->complete_time;
       }
@@ -81,67 +106,58 @@ MultiTenantReport MultiTenantDriver::Run(io::IoEngine& engine) {
       if (it == tenant_of_ns.end()) continue;  // not ours (foreign traffic)
       record(report.tenants[it->second], *c);
     }
+    if (reaped) {
+      for (std::size_t i : parked[q]) {
+        ready.emplace(tenants_[i].requests[cursor[i]].time, i);
+      }
+      parked[q].clear();
+    }
   };
   auto reap_all = [&] {
     for (std::size_t q = 0; q < queues; ++q) reap_queue(q);
   };
 
-  std::vector<char> pair_blocked(queues, 0);
   for (;;) {
-    // Host phase: submissions flow in global time order — a repeated
-    // min-pick across the (already sorted) streams. With tenants sharing a
-    // pair this matters: letting one tenant burst its whole backlog into
-    // the ring would park far-future commands in front of ring-mates'
-    // earlier ones (SQs are FIFO) and manufacture queue wait the device
-    // never caused. A full ring stalls the picked tenant and blocks that
-    // pair until the device frees a slot; ties go to the lower index.
-    std::fill(pair_blocked.begin(), pair_blocked.end(), 0);
-    for (;;) {
-      std::size_t best = n;
-      SimTime best_time = std::numeric_limits<SimTime>::max();
-      for (std::size_t i = 0; i < n; ++i) {
-        if (cursor[i] >= tenants_[i].requests.size()) continue;
-        if (pair_blocked[i % queues]) continue;
-        SimTime t = tenants_[i].requests[cursor[i]].time;
-        if (t < best_time) {
-          best_time = t;
-          best = i;
-        }
+    // Host phase: submit in global time order until every tenant is
+    // exhausted or waits on a parked pair. A full ring stalls the tenant
+    // that hit it and parks its pair.
+    while (!ready.empty()) {
+      const std::size_t best = ready.top().second;
+      ready.pop();
+      const io::QueueId q = static_cast<io::QueueId>(best % queues);
+      if (!parked[q].empty()) {
+        parked[q].push_back(best);
+        continue;
       }
-      if (best == n) break;
       const TenantSpec& tenant = tenants_[best];
       TenantResult& r = report.tenants[best];
-      const io::QueueId q = static_cast<io::QueueId>(best % queues);
       IoRequest req = tenant.requests[cursor[best]];
       req.nsid = ns_of[best];  // the tenant's identity rides every header
       std::uint64_t stamp = tenant.stamp_base + blocks_written[best];
       if (!engine.TrySubmit(q, req, stamp)) {
         ++r.stall_events;  // host stalls until a completion frees a slot
-        pair_blocked[q] = 1;
+        parked[q].push_back(best);
         continue;
       }
       ++r.submitted;
       if (req.mode == IoMode::kWrite) blocks_written[best] += req.length;
-      ++cursor[best];
+      if (++cursor[best] < tenant.requests.size()) {
+        ready.emplace(tenant.requests[cursor[best]].time, best);
+      }
     }
 
     // Device phase: process one event — a dispatch (arbitrated) or a
-    // completion posting — then reap so stalled tenants can make progress
-    // next round.
-    if (!engine.Step()) {
-      bool all_drained = true;
-      for (std::size_t i = 0; i < n; ++i) {
-        if (cursor[i] < tenants_[i].requests.size()) all_drained = false;
-      }
-      if (all_drained && engine.InFlight() == 0) break;
-      // Stuck on full completion rings: reap and retry.
-      reap_all();
-      continue;
-    }
+    // completion posting — then reap, which wakes the pairs it frees.
+    const bool stepped = engine.Step();
     reap_all();
+    // An idle engine (nothing in flight, every queued command behind a full
+    // completion ring) ends the run unless the reap woke a tenant. Every
+    // tenant with requests left is parked by now, and a parked pair always
+    // wakes here: it holds sq_depth commands, none in flight, so at least
+    // one is a posted completion.
+    if (!stepped && ready.empty()) break;
   }
 
-  reap_all();
   report.total_dispatched = engine.Stats().dispatched - dispatched_before;
   // Empty-run semantics: no completion ever advanced end_time, so pin it to
   // the start of the run — the span is zero, not an unsigned underflow.

@@ -3,13 +3,16 @@
 // N independent application streams (plus, optionally, one ransomware
 // stream) multiplex over the engine's queue pairs (tenant i drives pair
 // i % QueueCount(), so any tenant count is legal on any engine). The driver
-// plays every stream in its own time order, topping up each tenant's
-// submission ring until it is full — queue-full is the backpressure signal:
-// that tenant stalls, the stall is counted, and the tenant resumes only
-// after the device posts a completion that frees a slot. The engine's
-// arbitration then interleaves the tenants the way a real multi-queue drive
-// would, so the in-SSD detector finally sees headers from many "users"
-// mixed at the device, not a pre-merged trace.
+// submits across all streams in global (request time, tenant index) order,
+// taken from a min-heap of the tenants' next requests, and tops up the
+// rings until they are full — queue-full is the backpressure signal: the
+// refused tenant counts a stall and its pair parks, together with every
+// tenant that reaches it while parked. A parked pair is not polled again
+// until the host reaps a completion from it (nothing else frees a slot);
+// then its tenants go back into the heap. The engine's arbitration
+// interleaves the tenants the way a real multi-queue drive would, so the
+// in-SSD detector sees headers from many "users" mixed at the device, not a
+// pre-merged trace.
 //
 // Every command carries its tenant's namespace id (TenantSpec::nsid), which
 // is both the completion-attribution key when pairs are shared and the
@@ -49,7 +52,10 @@ struct TenantResult {
   std::uint64_t submitted = 0;
   std::uint64_t completed = 0;
   std::uint64_t errors = 0;      ///< completions with ok == false
-  std::uint64_t stall_events = 0;  ///< submissions refused by a full SQ
+  /// Times the tenant was refused by a full pair and the pair parked: one
+  /// per episode, however many engine events the pair then stays full.
+  /// Across tenants the sum equals the engine's sq_rejections.
+  std::uint64_t stall_events = 0;
   /// Submit-to-complete latency (µs) of every completion in the run: 1 µs
   /// resolution and 64 sub-buckets per octave bound any quantile's error
   /// by 1/64 in ~14 KiB, however long the run.

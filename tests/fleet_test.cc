@@ -186,6 +186,17 @@ TEST(FleetTest, RunFleetPopulatesDetectionMatrix) {
   EXPECT_EQ(r.pool_instances, fc.tenants + 1);
   EXPECT_TRUE(r.pool_within_budget);
   EXPECT_GT(r.total_dispatched, 0u);
+  // A full pair parks until it returns a completion, so its tenants'
+  // stalls never outnumber their completions.
+  std::vector<std::uint64_t> stalls(fc.queue_count, 0);
+  std::vector<std::uint64_t> completed(fc.queue_count, 0);
+  for (const FleetTenantResult& t : r.tenants) {
+    stalls[t.queue] += t.stalls;
+    completed[t.queue] += t.completed;
+  }
+  for (std::size_t q = 0; q < fc.queue_count; ++q) {
+    EXPECT_LE(stalls[q], completed[q]) << "pair " << q;
+  }
 
   // Ssd mirrored the pool into the obs gauges.
   const auto& gauges = metrics.Gauges();

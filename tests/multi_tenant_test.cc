@@ -86,6 +86,24 @@ TEST(MultiTenantTest, TenantsWriteDisjointRegionsThroughQueuePairs) {
   }
 }
 
+/// A refused submission parks its pair until the host reaps a completion
+/// from it, so per pair the tenants' stalls never outnumber their
+/// completions. (A driver that re-polls full pairs after every engine event
+/// stalls about once per event instead.)
+void ExpectStallsBoundedByCompletionsPerPair(
+    const wl::MultiTenantReport& report, std::size_t queues) {
+  std::vector<std::uint64_t> stalls(queues, 0);
+  std::vector<std::uint64_t> completed(queues, 0);
+  for (std::size_t i = 0; i < report.tenants.size(); ++i) {
+    stalls[i % queues] += report.tenants[i].stall_events;
+    completed[i % queues] += report.tenants[i].completed;
+  }
+  for (std::size_t q = 0; q < queues; ++q) {
+    EXPECT_GT(stalls[q], 0u) << "pair " << q << " never filled";
+    EXPECT_LE(stalls[q], completed[q]) << "pair " << q;
+  }
+}
+
 TEST(MultiTenantTest, QueueFullBackpressureStallsProducer) {
   Ssd ssd(SmallSsd(), SimpleTree());
   SsdTarget target(ssd);
@@ -106,6 +124,34 @@ TEST(MultiTenantTest, QueueFullBackpressureStallsProducer) {
   EXPECT_EQ(report.tenants[0].completed, 12u);
   EXPECT_GT(report.tenants[0].stall_events, 0u);
   EXPECT_EQ(engine.Stats().sq_rejections, report.tenants[0].stall_events);
+  ExpectStallsBoundedByCompletionsPerPair(report, 1);
+}
+
+// Seven tenants share two depth-2 rings and all burst at once.
+TEST(MultiTenantTest, SharedPairIsNotRepolledWhileParked) {
+  SsdConfig cfg = SmallSsd();
+  cfg.ftl.latency = nand::LatencyModel{};  // real NAND latencies
+  Ssd ssd(cfg, SimpleTree());
+  SsdTarget target(ssd);
+  io::EngineConfig ecfg;
+  ecfg.queue_count = 2;
+  ecfg.queue.sq_depth = 2;
+  io::IoEngine engine(target, ecfg);
+  std::vector<wl::TenantSpec> tenants;
+  for (std::size_t i = 0; i < 7; ++i) {
+    tenants.push_back(WriterTenant("t" + std::to_string(i),
+                                   static_cast<Lba>(20 * i), 10,
+                                   1000 * (i + 1), 1000, 0));
+  }
+  wl::MultiTenantDriver driver(std::move(tenants));
+  wl::MultiTenantReport report = driver.Run(engine);
+  std::uint64_t stalls = 0;
+  for (const wl::TenantResult& t : report.tenants) {
+    EXPECT_EQ(t.completed, 10u) << t.name;
+    stalls += t.stall_events;
+  }
+  EXPECT_EQ(engine.Stats().sq_rejections, stalls);
+  ExpectStallsBoundedByCompletionsPerPair(report, 2);
 }
 
 TEST(MultiTenantTest, CompletionTimesMonotoneAndMatchDeviceClock) {
