@@ -1,15 +1,13 @@
-// GC policy characterization on the refactored FTL.
+// GC characterization on the refactored FTL.
 //
-// Part 1 — victim-policy matrix: {greedy, cost-benefit} x delayed-deletion
-// {off, on} under the same high-utilization mixed workload on a raw
-// PageFtl. Reports the reclamation economics (page copies, retained
-// copies, erases, forced backup releases) and the wear spread each policy
-// produces. Greedy with defaults is the seed behavior the parity tests pin.
-// Under uniform traffic the two policies usually coincide (the utilization
-// term dominates cost-benefit's score, and both tie-breaks favor the
-// less-worn block); the cost-benefit wear bonus only changes picks near
-// utilization ties, so matching rows here are expected, not a wiring bug —
-// tests/gc_policy_test.cc pins the divergence on a crafted near-tie.
+// Part 1 — delayed-deletion matrix: greedy GC with delayed deletion {off,
+// on} under the same high-utilization mixed workload on a raw PageFtl.
+// Reports the reclamation economics (page copies, retained copies, erases,
+// forced backup releases) and the wear spread, i.e. what retaining
+// displaced versions for the recovery window costs GC. Greedy victim
+// selection (fewest movable pages, then least worn) is the FTL's only
+// rule; tests/gc_policy_test.cc pins its counters on a similar workload
+// against the pre-split monolith.
 //
 // Part 2 — background vs inline GC: the same sustained rewrite stream
 // driven through Ssd + IoEngine with the default (non-zero) NAND latency
@@ -50,23 +48,20 @@ nand::Geometry MediumGeometry() {
 }
 
 // ---------------------------------------------------------------------------
-// Part 1: victim-policy matrix on a raw PageFtl.
+// Part 1: delayed-deletion matrix on a raw PageFtl.
 
 struct MatrixRow {
-  const char* policy;
   bool delayed;
   ftl::FtlStats stats;
   ftl::PageFtl::WearStats wear;
 };
 
-MatrixRow RunPolicyCell(ftl::VictimPolicyKind kind, bool delayed,
-                        std::size_t ops) {
+MatrixRow RunMatrixCell(bool delayed, std::size_t ops) {
   ftl::FtlConfig cfg;
   cfg.geometry = MediumGeometry();
   cfg.latency = nand::LatencyModel::Zero();
   cfg.delayed_deletion = delayed;
   cfg.retention_window = Seconds(2);
-  cfg.victim_policy = kind;
   ftl::PageFtl ftl(cfg);
 
   const Lba n = ftl.ExportedLbas();
@@ -90,57 +85,49 @@ MatrixRow RunPolicyCell(ftl::VictimPolicyKind kind, bool delayed,
   }
 
   MatrixRow row;
-  row.policy = kind == ftl::VictimPolicyKind::kGreedy ? "greedy"
-                                                      : "cost_benefit";
   row.delayed = delayed;
   row.stats = ftl.Stats();
   row.wear = ftl.Wear();
   return row;
 }
 
-void PolicyMatrix(JsonWriter& json, std::size_t reps) {
-  PrintHeader("gc_policies — victim policy x delayed deletion");
+void DelayedDeletionMatrix(JsonWriter& json, std::size_t reps) {
+  PrintHeader("gc_policies — greedy GC x delayed deletion");
   const std::size_t ops = 5000 * reps;
   std::printf("workload: %zu mixed ops (8/1/1 write/trim/read), 90%% util\n",
               ops);
-  std::printf("%-13s %-8s %10s %10s %8s %8s %7s %7s %7s\n", "policy",
-              "delayed", "copies", "ret_cp", "erases", "forced", "wr_min",
-              "wr_max", "wr_avg");
+  std::printf("%-8s %10s %10s %8s %8s %7s %7s %7s\n", "delayed", "copies",
+              "ret_cp", "erases", "forced", "wr_min", "wr_max", "wr_avg");
 
-  json.Key("policy_matrix").BeginArray();
-  for (ftl::VictimPolicyKind kind :
-       {ftl::VictimPolicyKind::kGreedy, ftl::VictimPolicyKind::kCostBenefit}) {
-    for (bool delayed : {false, true}) {
-      MatrixRow r = RunPolicyCell(kind, delayed, ops);
-      std::printf(
-          "%-13s %-8s %10llu %10llu %8llu %8llu %7llu %7llu %7.1f\n",
-          r.policy, r.delayed ? "on" : "off",
-          (unsigned long long)r.stats.gc_page_copies,
-          (unsigned long long)r.stats.gc_retained_copies,
-          (unsigned long long)r.stats.gc_erases,
-          (unsigned long long)r.stats.forced_releases,
-          (unsigned long long)r.wear.min_erases,
-          (unsigned long long)r.wear.max_erases, r.wear.mean_erases);
-      json.BeginObject()
-          .Field("policy", r.policy)
-          .Field("delayed_deletion", r.delayed)
-          .Field("host_writes", r.stats.host_writes)
-          .Field("gc_page_copies", r.stats.gc_page_copies)
-          .Field("gc_retained_copies", r.stats.gc_retained_copies)
-          .Field("gc_erases", r.stats.gc_erases)
-          .Field("gc_invocations", r.stats.gc_invocations)
-          .Field("forced_releases", r.stats.forced_releases)
-          .Field("retained_released", r.stats.retained_released)
-          .Field("wear_min", r.wear.min_erases)
-          .Field("wear_max", r.wear.max_erases)
-          .Field("wear_mean", r.wear.mean_erases)
-          .Field("copies_per_write",
-                 r.stats.host_writes
-                     ? static_cast<double>(r.stats.gc_page_copies) /
-                           static_cast<double>(r.stats.host_writes)
-                     : 0.0)
-          .EndObject();
-    }
+  json.Key("delayed_deletion_matrix").BeginArray();
+  for (bool delayed : {false, true}) {
+    MatrixRow r = RunMatrixCell(delayed, ops);
+    std::printf("%-8s %10llu %10llu %8llu %8llu %7llu %7llu %7.1f\n",
+                r.delayed ? "on" : "off",
+                (unsigned long long)r.stats.gc_page_copies,
+                (unsigned long long)r.stats.gc_retained_copies,
+                (unsigned long long)r.stats.gc_erases,
+                (unsigned long long)r.stats.forced_releases,
+                (unsigned long long)r.wear.min_erases,
+                (unsigned long long)r.wear.max_erases, r.wear.mean_erases);
+    json.BeginObject()
+        .Field("delayed_deletion", r.delayed)
+        .Field("host_writes", r.stats.host_writes)
+        .Field("gc_page_copies", r.stats.gc_page_copies)
+        .Field("gc_retained_copies", r.stats.gc_retained_copies)
+        .Field("gc_erases", r.stats.gc_erases)
+        .Field("gc_invocations", r.stats.gc_invocations)
+        .Field("forced_releases", r.stats.forced_releases)
+        .Field("retained_released", r.stats.retained_released)
+        .Field("wear_min", r.wear.min_erases)
+        .Field("wear_max", r.wear.max_erases)
+        .Field("wear_mean", r.wear.mean_erases)
+        .Field("copies_per_write",
+               r.stats.host_writes
+                   ? static_cast<double>(r.stats.gc_page_copies) /
+                         static_cast<double>(r.stats.host_writes)
+                   : 0.0)
+        .EndObject();
   }
   json.EndArray();
 }
@@ -271,7 +258,7 @@ int main() {
   JsonWriter json("BENCH_gc.json");
   json.BeginObject();
   json.Field("bench", "gc_policies").Field("reps", reps);
-  insider::bench::PolicyMatrix(json, reps);
+  insider::bench::DelayedDeletionMatrix(json, reps);
   insider::bench::BackgroundVsInline(json, reps);
   json.EndObject();
   std::printf("[bench] wrote %s\n", json.Path().c_str());

@@ -1,9 +1,10 @@
 // Shared FTL value types: host-visible status/result structs, the device
 // configuration, statistics counters, and the per-page / per-block state the
-// mapping core and the pluggable victim policies agree on.
+// mapping core, its GC candidate index and its auditor agree on.
 //
-// Kept free of any class logic so that policy implementations (policy.h) can
-// be compiled against this header without pulling in the full mapping core.
+// Kept free of any class logic so that the candidate index (victim_index.h)
+// and the checkpoint format can be compiled against this header without
+// pulling in the full mapping core.
 #pragma once
 
 #include <cstdint>
@@ -36,13 +37,6 @@ struct FtlResult {
   nand::PageData data;  ///< payload for reads
 
   bool ok() const { return status == FtlStatus::kOk; }
-};
-
-/// Which pluggable victim-selection policy the FTL instantiates (a custom
-/// implementation can also be injected with PageFtl::SetVictimPolicy).
-enum class VictimPolicyKind {
-  kGreedy,       ///< fewest movable pages, ties to the least-worn block
-  kCostBenefit,  ///< Rosenblum-style (1-u)/(2u) score with a wear bonus
 };
 
 /// Durable-metadata (checkpoint + write-ahead mapping journal) knobs. Off by
@@ -103,8 +97,6 @@ struct FtlConfig {
   /// Background GC stops once the free pool recovers to this level
   /// (hysteresis so the task doesn't thrash around the low watermark).
   std::uint32_t gc_high_watermark_blocks = 12;
-  /// GC victim selection (greedy reproduces the seed behavior).
-  VictimPolicyKind victim_policy = VictimPolicyKind::kGreedy;
   /// Fraction of physical pages exported as logical capacity; the rest is
   /// over-provisioning for GC efficiency.
   double exported_fraction = 0.9;
@@ -234,6 +226,11 @@ struct RetentionConfigError {
   bool ok() const { return issue == RetentionConfigIssue::kNone; }
 };
 
+/// Checks the retention-related parts of a config for combinations that
+/// would silently retain nothing (or contradict each other) instead of
+/// implementing the paper's recovery guarantee.
+RetentionConfigError ValidateRetentionConfig(const FtlConfig& config);
+
 /// Per-physical-page state from the FTL's point of view.
 enum class PageState : std::uint8_t {
   kFree,      ///< erased, programmable
@@ -254,8 +251,8 @@ enum class BlockHealth : std::uint8_t {
   kRetired,       ///< permanently out of service (grown bad block)
 };
 
-/// Per-erase-block occupancy counters the mapping core maintains and the
-/// victim policies select against.
+/// Per-erase-block occupancy counters the mapping core maintains and GC
+/// selects victims against.
 struct BlockCounters {
   std::uint32_t valid = 0;
   std::uint32_t retained = 0;

@@ -11,9 +11,13 @@
 namespace insider::ftl {
 
 bool PageFtl::CollectOne(SimTime& now, std::uint32_t max_movable) {
-  std::uint32_t victim = victim_->SelectVictim(view_, max_movable);
-  if (victim == kNoVictim) return false;  // nothing reclaimable
-  return CollectVictim(victim, now);
+  // Greedy: the index's key order is the preference order, so its minimum
+  // is the victim when it fits under the cap.
+  const VictimIndex& candidates = block_counters_.Index();
+  if (candidates.Empty() || candidates.Min().movable > max_movable) {
+    return false;  // nothing reclaimable
+  }
+  return CollectVictim(candidates.Min().block, now);
 }
 
 bool PageFtl::EvacuateBlock(std::uint32_t block_id, SimTime& now) {

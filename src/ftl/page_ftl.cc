@@ -25,6 +25,48 @@ constexpr std::uint32_t kJournalRecordsPerPage = 96;
 
 }  // namespace
 
+const char* ToString(RetentionConfigIssue issue) {
+  switch (issue) {
+    case RetentionConfigIssue::kNone: return "none";
+    case RetentionConfigIssue::kNegativeWindow: return "negative-window";
+    case RetentionConfigIssue::kNoOpRetention: return "no-op-retention";
+    case RetentionConfigIssue::kInvalidRangePolicy:
+      return "invalid-range-policy";
+  }
+  return "?";
+}
+
+RetentionConfigError ValidateRetentionConfig(const FtlConfig& config) {
+  if (config.retention_window < 0) {
+    return {RetentionConfigIssue::kNegativeWindow,
+            "retention_window must be >= 0"};
+  }
+  if (config.delayed_deletion && config.retention_window == 0) {
+    // Every backup would age out the instant it is displaced: the device
+    // pays delayed deletion's bookkeeping yet can never recover anything.
+    return {RetentionConfigIssue::kNoOpRetention,
+            "delayed_deletion with a zero retention_window retains nothing"};
+  }
+  if (config.range_policies != nullptr &&
+      config.range_policies->RangeCount() > 0) {
+    if (!config.delayed_deletion) {
+      return {RetentionConfigIssue::kInvalidRangePolicy,
+              "range_policies require delayed_deletion: without the ring "
+              "there is nothing to archive"};
+    }
+    // RangePolicyTable::Add enforces these per entry; re-check so a table
+    // built by other means cannot smuggle a no-op range in.
+    for (const version::RangePolicy& r : config.range_policies->Ranges()) {
+      if (r.begin >= r.end || r.keep_window < 0 ||
+          (r.keep_versions == 0 && r.keep_window == 0)) {
+        return {RetentionConfigIssue::kInvalidRangePolicy,
+                "range policy retains nothing or has an empty range"};
+      }
+    }
+  }
+  return {};
+}
+
 #ifdef INSIDER_AUDIT
 namespace {
 
@@ -158,15 +200,12 @@ PageFtl::PageFtl(const FtlConfig& config)
       nand_(config.geometry, config.latency, config.errors,
             config.error_seed),
       queue_(config.recovery_queue_capacity),
-      victim_(MakeVictimPolicy(config)),
       retention_error_(ValidateRetentionConfig(config)),
       retention_window_(retention_error_.ok() ? config.retention_window
                                               : kFallbackRetentionWindow),
       // A config the validator rejects must not half-enable versioning: the
       // store only receives the policy table when the config is sound.
-      store_(retention_error_.ok() ? config.range_policies : nullptr),
-      view_(config_.geometry, nand_, block_counters_, active_block_per_chip_,
-            block_health_) {
+      store_(retention_error_.ok() ? config.range_policies : nullptr) {
   if (!retention_error_.ok()) {
     // A config that would retain nothing defeats the device's whole purpose;
     // refuse it loudly and run with the paper's default instead of silently
@@ -233,11 +272,6 @@ PageFtl::PageFtl(const FtlConfig& config)
     }
   }
   free_block_count_ = geo.TotalBlocks() - metadata_blocks_.size();
-}
-
-void PageFtl::SetVictimPolicy(std::unique_ptr<VictimPolicy> policy) {
-  assert(policy);
-  victim_ = std::move(policy);
 }
 
 bool PageFtl::IsActiveBlock(std::uint32_t block_id) const {

@@ -17,11 +17,11 @@
 // per-block counters, free pools, the recovery queue), the host-facing I/O
 // mechanics, round-robin write striping across chips, the retention window
 // that both expiry and rollback measure against, and the garbage-collection
-// mechanics (gc_engine.cc: foreground / background / idle reclamation). One
-// piece lives elsewhere: the VictimPolicy that picks which full block GC
-// reclaims next (policy.h; greedy or cost-benefit, swappable at runtime).
-// The greedy default reproduces the pre-split monolith stat-for-stat — the
-// gc_policy parity test pins this.
+// mechanics (gc_engine.cc: foreground / background / idle reclamation). GC
+// is greedy: its victim is the minimum of the candidate index
+// (victim_index.h), whose key order — fewest movable pages, then least
+// worn, then lowest id — is the only victim rule. This reproduces the
+// pre-split monolith stat-for-stat; the gc_policy parity test pins it.
 //
 // Every public mutating entry point opens one MutationScope, which flushes
 // full journal batches and (under INSIDER_AUDIT) audits every invariant when
@@ -31,7 +31,6 @@
 #include <cstdint>
 #include <deque>
 #include <limits>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -42,7 +41,6 @@
 #include "ftl/checkpoint.h"
 #include "ftl/ftl_types.h"
 #include "ftl/mapping_journal.h"
-#include "ftl/policy.h"
 #include "ftl/recovery_queue.h"
 #include "ftl/victim_index.h"
 #include "nand/flash_array.h"
@@ -147,13 +145,6 @@ class PageFtl {
   std::size_t MetadataBlockCount() const { return metadata_blocks_.size(); }
   const MappingJournal& Journal() const { return journal_; }
   const CheckpointStore& Checkpoints() const { return checkpoints_; }
-
-  // Victim policy --------------------------------------------------------
-
-  /// Swap the GC victim policy at runtime (experiments sweep it). The
-  /// default instance is built from FtlConfig::victim_policy.
-  void SetVictimPolicy(std::unique_ptr<VictimPolicy> policy);
-  const VictimPolicy& Victim() const { return *victim_; }
 
   // Background / idle reclamation ---------------------------------------
 
@@ -344,9 +335,10 @@ class PageFtl {
   // honored identically everywhere: EnsureFreeSpace (a host write blocked at
   // the hard floor — the stall FtlStats::gc_stall_time measures),
   // BackgroundCollect (watermark refill in host-idle gaps) and IdleCollect
-  // (cheap victims only). The VictimPolicy picks victims; these copy live
-  // pages to fresh frontiers, repoint mappings, queue guards and store
-  // objects, absorb uncorrectable-ECC losses, erase, and recycle the block.
+  // (cheap victims only). Each reclaims the candidate index's minimum
+  // (CollectOne): copy live pages to fresh frontiers, repoint mappings,
+  // queue guards and store objects, absorb uncorrectable-ECC losses, erase,
+  // and recycle the block.
 
   /// Foreground: run GC until the free pool exceeds the hard floor,
   /// accumulating NAND time into `now` (the caller's write blocks for all
@@ -359,8 +351,9 @@ class PageFtl {
   /// mid-evacuation — the remaining blocks stay flagged and are retried on
   /// the next call.
   bool DrainRetirements(SimTime& now);
-  /// Select (via the victim policy) and reclaim one block. Returns false
-  /// when no victim qualifies or relocation ran out of frontier space.
+  /// Reclaim the candidate index's minimum if it has at most `max_movable`
+  /// live pages. Returns false when no victim qualifies or relocation ran
+  /// out of frontier space.
   bool CollectOne(SimTime& now, std::uint32_t max_movable);
   /// Relocate every live page out of `victim`, then erase and recycle it —
   /// or retire it on an erase fault. Returns false if the allocation
@@ -448,7 +441,8 @@ class PageFtl {
   /// state: a power cycle or rebuild keeps the cursor where it was, and the
   /// power-cycle golden counters depend on that.
   std::uint32_t next_chip_ = 0;
-  static constexpr std::uint32_t kNoActiveBlock = PolicyView::kNoActiveBlockId;
+  /// active_block_per_chip_ entry of a chip with no open write frontier.
+  static constexpr std::uint32_t kNoActiveBlock = 0xFFFFFFFFu;
 
   RecoveryQueue queue_;
   /// Time-ordered record of trims whose tombstone is still the current
@@ -484,7 +478,6 @@ class PageFtl {
   std::uint64_t archived_pages_ = 0;
   FtlStats stats_;
 
-  std::unique_ptr<VictimPolicy> victim_;
   /// Why ValidateRetentionConfig rejected the config, if it did, and the
   /// window in force as a result (the paper's 10 s on rejection).
   RetentionConfigError retention_error_;
@@ -492,7 +485,6 @@ class PageFtl {
   /// Long-term home of protected ranges' old versions (ftl_types.h
   /// range_policies); inert when no ranges are configured.
   version::VersionStore store_;
-  PolicyView view_;
 
   /// Reserved metadata block ids (checkpoint buffers then journal regions);
   /// empty when CheckpointConfig::enabled is false.

@@ -27,19 +27,6 @@ std::optional<BackupEntry> RecoveryQueue::Push(Lba lba, nand::Ppa old_ppa,
   return evicted;
 }
 
-void RecoveryQueue::ReleaseUpTo(
-    SimTime horizon, const std::function<void(const BackupEntry&)>& release) {
-  while (!entries_.empty() && entries_.front().written_at <= horizon) {
-    BackupEntry e = entries_.front();
-    EraseIndex(e);
-    entries_.pop_front();
-    ++head_id_;
-    if (e.old_ppa == nand::kInvalidPpa) continue;  // tombstone
-    --live_;
-    release(e);
-  }
-}
-
 std::optional<BackupEntry> RecoveryQueue::PopOldest() {
   while (!entries_.empty()) {
     BackupEntry e = entries_.front();
@@ -62,21 +49,6 @@ bool RecoveryQueue::Relocate(nand::Ppa from_ppa, nand::Ppa to_ppa) {
   e.old_ppa = to_ppa;
   by_ppa_.emplace(to_ppa, id);
   return true;
-}
-
-std::size_t RecoveryQueue::RollBack(
-    SimTime horizon, const std::function<void(const BackupEntry&)>& revert) {
-  std::size_t reverted = 0;
-  while (!entries_.empty() && entries_.back().written_at > horizon) {
-    BackupEntry e = entries_.back();
-    EraseIndex(e);
-    entries_.pop_back();
-    if (e.old_ppa == nand::kInvalidPpa) continue;  // tombstone
-    --live_;
-    revert(e);
-    ++reverted;
-  }
-  return reverted;
 }
 
 bool RecoveryQueue::Drop(nand::Ppa ppa) {

@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <optional>
 #include <unordered_map>
 
@@ -47,8 +46,18 @@ class RecoveryQueue {
 
   /// Pop every entry with written_at <= horizon, invoking `release` on each.
   /// The FTL calls this each I/O with horizon = now - retention_window.
-  void ReleaseUpTo(SimTime horizon,
-                   const std::function<void(const BackupEntry&)>& release);
+  template <typename Fn>
+  void ReleaseUpTo(SimTime horizon, Fn&& release) {
+    while (!entries_.empty() && entries_.front().written_at <= horizon) {
+      BackupEntry e = entries_.front();
+      EraseIndex(e);
+      entries_.pop_front();
+      ++head_id_;
+      if (e.old_ppa == nand::kInvalidPpa) continue;  // tombstone
+      --live_;
+      release(e);
+    }
+  }
 
   /// Pop the oldest entry regardless of age. Used when the device is under
   /// space pressure and must sacrifice recoverability to accept writes.
@@ -78,8 +87,20 @@ class RecoveryQueue {
   /// to the front, invoking `revert` on each, then discard them. Entries at
   /// or older than the horizon stay queued (their new versions are deemed
   /// safe). Returns the number of reverted entries.
-  std::size_t RollBack(SimTime horizon,
-                       const std::function<void(const BackupEntry&)>& revert);
+  template <typename Fn>
+  std::size_t RollBack(SimTime horizon, Fn&& revert) {
+    std::size_t reverted = 0;
+    while (!entries_.empty() && entries_.back().written_at > horizon) {
+      BackupEntry e = entries_.back();
+      EraseIndex(e);
+      entries_.pop_back();
+      if (e.old_ppa == nand::kInvalidPpa) continue;  // tombstone
+      --live_;
+      revert(e);
+      ++reverted;
+    }
+    return reverted;
+  }
 
   /// Iterate live entries oldest-first (for tests and DRAM accounting).
   template <typename Fn>

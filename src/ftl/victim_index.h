@@ -1,12 +1,13 @@
 // GC candidate index and the per-block counter table that keeps it current.
 //
-// A GC candidate is a block the victim policies may reclaim: full (its write
-// frontier has closed), not some chip's active frontier, healthy, and not a
-// reserved metadata block. The mapping core keeps every candidate in a
-// VictimIndex ordered by (movable pages, erase count, block id) — exactly
-// greedy selection's preference order (fewest pages to copy, then the
-// least-worn block, then the lowest id) — so a victim lookup reads the
-// index's minimum instead of scanning every block.
+// A GC candidate is a block GC may reclaim: full (its write frontier has
+// closed), not some chip's active frontier, healthy, and not a reserved
+// metadata block. The mapping core keeps every candidate in a VictimIndex
+// ordered by (movable pages, erase count, block id) — greedy selection's
+// preference order (fewest pages to copy, then the least-worn block, then
+// the lowest id) — so GC's victim is the index's minimum, read without
+// scanning any block. This key order is the one place that decides which
+// block GC reclaims.
 //
 // A member's key changes only when its movable-page count does (its erase
 // count cannot change while it is full), and the counters change only
@@ -27,6 +28,9 @@
 #include "ftl/ftl_types.h"
 
 namespace insider::ftl {
+
+/// A block id no block has, standing for "no victim".
+inline constexpr std::uint32_t kNoVictim = 0xFFFFFFFFu;
 
 /// Indexed binary min-heap over the candidate blocks. Min() is O(1);
 /// Insert/Erase/Rekey are O(log n) and never allocate: the heap can hold at
@@ -109,14 +113,6 @@ class VictimIndex {
     }
   }
 
-  /// Visit every member with at most `max_movable` movable pages, in heap
-  /// (not key) order. Subtrees whose root already exceeds the cap are
-  /// skipped whole, so the walk costs O(visited), not O(members).
-  template <typename Fn>
-  void ForEachUpTo(std::uint32_t max_movable, Fn&& fn) const {
-    Walk(0, max_movable, fn);
-  }
-
   /// Raw heap order, for the auditor's structural check.
   std::span<const Entry> Entries() const { return {heap_.data(), size_}; }
 
@@ -169,14 +165,6 @@ class VictimIndex {
     } else {
       SiftDown(i);
     }
-  }
-
-  template <typename Fn>
-  void Walk(std::size_t i, std::uint32_t max_movable, Fn& fn) const {
-    if (i >= size_ || heap_[i].movable > max_movable) return;
-    fn(heap_[i]);
-    Walk(2 * i + 1, max_movable, fn);
-    Walk(2 * i + 2, max_movable, fn);
   }
 
   /// Heap storage; slots [0, size_) are live.

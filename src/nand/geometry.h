@@ -160,8 +160,8 @@ inline GeometryError ValidateGeometry(const Geometry& g) {
       chips * g.blocks_per_chip;  // < 2^63 by the check above
   if (total_blocks > 0xFFFF'FFFFull) {
     return {GeometryIssue::kBlockIdOverflow,
-            "TotalBlocks must fit a 32-bit global block id (victim policies "
-            "and free-pool bookkeeping use uint32_t)"};
+            "TotalBlocks must fit a 32-bit global block id (the GC "
+            "candidate index and free-pool bookkeeping use uint32_t)"};
   }
   std::uint64_t total_pages = chips * pages_per_chip;
   if (total_pages > ~std::uint64_t{0} / g.page_size) {

@@ -9,7 +9,6 @@
 #include <memory>
 
 #include "ftl/page_ftl.h"
-#include "ftl/policy.h"
 #include "nand/geometry.h"
 #include "version/range_policy.h"
 
